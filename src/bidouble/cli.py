@@ -279,7 +279,15 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
             )
             continue
         try:
-            triples.append(validate_triple(tuple(int(tok) for tok in tokens)))
+            degrees = tuple(int(tok) for tok in tokens)
+        except ValueError:  # past the interpreter's int-string digit limit
+            diagnostics.append(
+                f"line {lineno}: a degree of {max(map(len, tokens))} digits "
+                f"is too long to parse"
+            )
+            continue
+        try:
+            triples.append(validate_triple(degrees))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
     seen = set()

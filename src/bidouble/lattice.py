@@ -23,9 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-
-import numpy as np
+from math import gcd, isqrt
 
 from .errors import DomainError, ShapeError
 
@@ -327,31 +325,13 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
     raise DomainError(f"unknown lattice preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
-# Above this cell count the search switches to the vectorized path,
-# provided the no-overflow certificate holds.
-_VECTOR_THRESHOLD = 4096
-# Vectorized slices are kept to ~half a million cells to bound memory.
-_CHUNK_CELLS = 1 << 19
 # Boxes beyond this total are refused outright rather than ground through.
 _CELL_CAP = 10**8
-_INT64_SAFE = 2**62
-
-
-def _int64_certificate(lat, bound, degree_target, selfint_target) -> bool:
-    # |d.G.e| <= (sum |G_ij|) * bound^2 and |d.(G h)| <= sum |(G h)_i| * bound;
-    # if those and the targets stay under 2^62 the int64 path cannot overflow.
-    gram_mass = sum(abs(g) for row in lat.gram for g in row)
-    gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in lat.gram]
-    gh_mass = sum(abs(v) for v in gh)
-    return (
-        gram_mass * bound * bound < _INT64_SAFE
-        and gh_mass * bound < _INT64_SAFE
-        and abs(degree_target) < _INT64_SAFE
-        and abs(selfint_target) < _INT64_SAFE
-    )
 
 
 def _search_python(lat, bound, degree_target, selfint_target):
+    # Reference scan of every cell of the box; the tests hold the pruned
+    # search to its result, order included.
     out = []
     gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in lat.gram]
     for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
@@ -363,34 +343,116 @@ def _search_python(lat, bound, degree_target, selfint_target):
     return out
 
 
-def _search_numpy(lat, bound, degree_target, selfint_target):
-    # The box is split as (leading axes, iterated in Python) x (tail axes,
-    # vectorized); looping the leading axes lexicographically and raveling
-    # the tail meshgrid in 'ij' order reproduces the pure-Python order.
-    rank = lat.rank
-    width = 2 * bound + 1
-    tail = rank
-    while tail > 1 and width**tail > _CHUNK_CELLS:
-        tail -= 1
-    lead = rank - tail
-    vals = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([vals] * tail), indexing="ij")
-    tail_coords = np.stack([g.ravel() for g in grids], axis=-1)
-    gram = np.array(lat.gram, dtype=np.int64)
-    gh = gram @ np.array(lat.h.coords, dtype=np.int64)
-    tail_degree = tail_coords @ gh[lead:]
+def _search_pruned(lat, bound, degree_target, selfint_target):
+    # Depth-first over the coordinates in basis order, smallest value first,
+    # so hits come out in lexicographic order.  With x_0..x_{i-1} fixed, the
+    # suffix x_i..x_{r-1} owes the degree t and the self-intersection q:
+    #   sum_{j>=i} gh_j x_j = t,
+    #   sum_{j,k>=i} G_jk x_j x_k + 2 sum_{j>=i} c_j x_j = q,
+    # where gh = G.h and c_j = sum_{k<i} G_jk x_k pairs the suffix with the
+    # prefix.  The state (t, q, c) carries c for j >= i only.
+    rank, gram = lat.rank, lat.gram
+    gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in gram]
+    # A suffix starting at i reaches degrees of size at most reach[i].
+    reach = [bound * sum(abs(v) for v in gh[i:]) for i in range(rank + 1)]
+    # Where no suffix basis class pairs with a prefix one, c is identically
+    # zero, so whether a suffix exists depends on (i, t, q) alone and dead
+    # states are cached; on the diagonal del Pezzo lattices that is every
+    # depth.
+    decoupled = [
+        all(gram[j][k] == 0 for j in range(i, rank) for k in range(i))
+        for i in range(rank + 1)
+    ]
+    # A decoupled suffix owes a self-intersection within [q_lo[i], q_hi[i]].
+    q_lo, q_hi = [], []
+    for i in range(rank + 1):
+        off = sum(abs(gram[j][k]) for j in range(i, rank) for k in range(i, rank) if j != k)
+        q_lo.append(bound * bound * (sum(min(gram[j][j], 0) for j in range(i, rank)) - off))
+        q_hi.append(bound * bound * (sum(max(gram[j][j], 0) for j in range(i, rank)) + off))
+    dead = set()  # (i, t, q) of decoupled states without a hit
     out = []
-    for lead_coords in itertools.product(range(-bound, bound + 1), repeat=lead):
-        lead_degree = sum(c * int(v) for c, v in zip(lead_coords, gh[:lead]))
-        hits = tail_coords[tail_degree == degree_target - lead_degree]
-        if not len(hits):
-            continue
-        full = np.empty((len(hits), rank), dtype=np.int64)
-        full[:, :lead] = np.array(lead_coords, dtype=np.int64)
-        full[:, lead:] = hits
-        selfint = np.einsum("ij,jk,ik->i", full, gram, full)
-        for row in full[selfint == selfint_target]:
-            out.append(DivisorClass(tuple(int(c) for c in row)))
+
+    def children(i, t, q, c):
+        # Every x_i in the box that leaves a degree the next suffix can reach.
+        g, r = gh[i], reach[i + 1]
+        if g:
+            # |t - g x| <= r, solved for x
+            st, ag = (t, g) if g > 0 else (-t, -g)
+            lo, hi = max(-bound, -((r - st) // ag)), min(bound, (st + r) // ag)
+        elif abs(t) <= r:
+            lo, hi = -bound, bound
+        else:
+            return
+        gii, ci, rest = gram[i][i], c[0], c[1:]
+        if decoupled[i + 1]:
+            ql, qh = q_lo[i + 1], q_hi[i + 1]
+            for x in range(lo, hi + 1):
+                q2 = q - (gii * x + 2 * ci) * x
+                if ql <= q2 <= qh:
+                    yield x, t - g * x, q2, rest
+            return
+        column = [gram[j][i] for j in range(i + 1, rank)]
+        for x in range(lo, hi + 1):
+            yield x, t - g * x, q - (gii * x + 2 * ci) * x, tuple(
+                cj + gj * x for cj, gj in zip(rest, column)
+            )
+
+    def closed_form(i, t, q, c):
+        # Suffixes in lexicographic order when at most two coordinates remain,
+        # or None where the exhaustive descent has to take over.
+        if rank - i == 1:
+            g, gii, ci = gh[i], gram[i][i], c[0]
+            if g:
+                x, rem = divmod(t, g)
+                xs = [x] if not rem and -bound <= x <= bound else []
+            else:
+                xs = range(-bound, bound + 1) if t == 0 else []
+            return [(x,) for x in xs if (gii * x + 2 * ci) * x == q]
+        if rank - i != 2 or gh[i + 1] == 0:
+            return None
+        ga, gb = gh[i], gh[i + 1]
+        gaa, gab, gbb = gram[i][i], gram[i][i + 1], gram[i + 1][i + 1]
+        ca, cb = c
+        # The degree gives x_b = (t - ga x_a) / gb; substituted and scaled by
+        # gb^2, the self-intersection is A x_a^2 + B x_a + C = 0 over Z.
+        A = gaa * gb * gb - 2 * gab * ga * gb + gbb * ga * ga
+        if A == 0:
+            return None
+        B = 2 * (gab * gb * t - gbb * ga * t + ca * gb * gb - cb * ga * gb)
+        C = gbb * t * t + 2 * cb * gb * t - q * gb * gb
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return []
+        root = isqrt(disc)
+        if root * root != disc:
+            return []
+        tails = []
+        for num in sorted({-B - root, -B + root}, reverse=A < 0):
+            xa, rem = divmod(num, 2 * A)
+            if rem or abs(xa) > bound:
+                continue
+            xb, rem = divmod(t - ga * xa, gb)
+            if not rem and abs(xb) <= bound:
+                tails.append((xa, xb))
+        return tails
+
+    def collect(i, t, q, c, prefix):
+        # Appends the hits below this state; returns whether there were any.
+        if decoupled[i] and (i, t, q) in dead:
+            return False
+        tails = closed_form(i, t, q, c)
+        if tails is not None:
+            out.extend(DivisorClass(prefix + tail) for tail in tails)
+            found = bool(tails)
+        else:
+            found = False
+            for x, *state in children(i, t, q, c):
+                found = collect(i + 1, *state, prefix + (x,)) or found
+        if decoupled[i] and not found:
+            dead.add((i, t, q))
+        return found
+
+    collect(0, degree_target, selfint_target, (0,) * rank, ())
     return out
 
 
@@ -403,9 +465,14 @@ def brute_force_search(
     """All classes in the coordinate box [-bound, bound]^rank with the given
     degree d.H and self-intersection d.d, in lexicographic coordinate order.
 
-    The box is enumerated exactly; a vectorized int64 path is used only when
-    a magnitude bound proves no intermediate product can exceed 2^62, so the
-    result is identical (order included) to the pure-integer enumeration.
+    The search is exact on Python integers and returns what a scan of every
+    cell would, order included, but its work follows the hits rather than
+    the box.  It skips values that leave a degree the remaining coordinates
+    cannot reach, and solves the last two coordinates from the degree
+    equation and an integer quadratic.  Where the Gram matrix decouples the
+    remaining coordinates from the fixed ones, it also skips values that
+    leave an unreachable self-intersection and caches which (degree,
+    self-intersection) remainders have no completion.
     Boxes over 10^8 cells are refused: shrink the bound instead of waiting.
     """
     if bound < 0:
@@ -416,8 +483,4 @@ def brute_force_search(
             f"search box has {cells} cells at rank {lat.rank}, bound {bound}; "
             f"the cap is {_CELL_CAP}, pass a smaller bound"
         )
-    if cells >= _VECTOR_THRESHOLD and _int64_certificate(
-        lat, bound, degree_target, selfint_target
-    ):
-        return _search_numpy(lat, bound, degree_target, selfint_target)
-    return _search_python(lat, bound, degree_target, selfint_target)
+    return _search_pruned(lat, bound, degree_target, selfint_target)

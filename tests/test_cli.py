@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +184,34 @@ def test_batch_input_bad(capsys):
     assert "Def. 2.7" in skipped[1]
     assert "expected three degrees" in skipped[2]
     assert "unsigned integers" in skipped[3]
+
+
+def test_batch_input_oversized_token(capsys, tmp_path):
+    # A token past the int-string digit limit is one skipped line, not a
+    # traceback; the mixed parity rejects it where there is no limit.
+    path = tmp_path / "big.txt"
+    path.write_text("2 4 6\n1 2 " + "1" * 5000 + "\n0 2 2\n")
+    code, out, err = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert code == 2
+    assert [r.split(",")[:3] for r in out.splitlines()[1:]] == [
+        ["0", "2", "2"], ["2", "4", "6"]]
+    skipped = [line for line in err.splitlines() if line.startswith("skipped line")]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("skipped line 2:")
+    assert len(skipped[0]) < 200
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert "5000 digits is too long to parse" in skipped[0]
+
+
+def test_cli_import_leaves_numpy_out():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, bidouble.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_batch_missing_file(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from bidouble.lattice import (
     pair_q,
     preset_lattice,
     rank1_bidouble_lattice,
-    _search_numpy,
     _search_python,
 )
 
@@ -225,7 +225,14 @@ def test_genus_fraction():
     )
 
 
-def test_search_paths_agree_exactly():
+def assert_matches_full_scan(lat, bound, deg, self_int):
+    hits = brute_force_search(lat, bound, deg, self_int)
+    assert hits == _search_python(lat, bound, deg, self_int), (
+        lat.describe(), bound, deg, self_int)
+    return hits
+
+
+def test_search_matches_full_scan():
     cases = [
         (delpezzo_lattice(4), 2, 4, 2),
         (k3_024_lattice(), 4, 6, 4),
@@ -233,10 +240,111 @@ def test_search_paths_agree_exactly():
         (rank1_bidouble_lattice((2, 2, 2)), 50, 12, 36),
     ]
     for lat, bound, deg, self_int in cases:
-        py = _search_python(lat, bound, deg, self_int)
-        vec = _search_numpy(lat, bound, deg, self_int)
-        assert py == vec, lat.describe()
-        assert py == sorted(py, key=lambda d: d.coords)
+        hits = assert_matches_full_scan(lat, bound, deg, self_int)
+        assert hits
+        assert hits == sorted(hits, key=lambda d: d.coords)
+
+
+def test_search_matches_full_scan_on_random_boxes():
+    # Targets are read off a random class of the box, so most have hits;
+    # the perturbed self-intersections probe near misses.
+    rng = random.Random(20240)
+    lattices = [delpezzo_lattice(d) for d in range(1, 10)] + [
+        k3_024_lattice(), p1xp1_lattice(),
+        rank1_bidouble_lattice((2, 2, 2)), rank1_bidouble_lattice((2, 4, 6)),
+    ]
+    total_hits = 0
+    for _ in range(420):
+        lat = rng.choice(lattices)
+        bound = rng.randint(0, 6)
+        while (2 * bound + 1) ** lat.rank > 1000:
+            bound -= 1
+        d = DivisorClass([rng.randint(-bound, bound) for _ in range(lat.rank)])
+        self_int = pair(lat, d, d) + rng.choice((0, 0, 0, 1, -1, 2, -3))
+        total_hits += len(assert_matches_full_scan(lat, bound, pair(lat, d, lat.h), self_int))
+    assert total_hits > 500
+
+
+def test_search_matches_full_scan_on_mid_size_boxes():
+    # delpezzo4 is diagonal (every depth cached), k3_024 is coupled.
+    assert len(assert_matches_full_scan(delpezzo_lattice(4), 4, 3, -5)) == 230
+    assert len(assert_matches_full_scan(k3_024_lattice(), 12, 8, 0)) == 12
+
+
+def hand_built(gram, h):
+    rank = len(gram)
+    return IntersectionLattice(
+        rank=rank,
+        basis_labels=tuple(f"b{i}" for i in range(rank)),
+        gram=tuple(map(tuple, gram)),
+        h=DivisorClass(h),
+        k=DivisorClass.zero(rank),
+    )
+
+
+@pytest.mark.parametrize(
+    "gram, h",
+    [
+        # G.h = (2, 1, 0): the last coordinate does not enter the degree, so
+        # it is found by trying every value.
+        pytest.param([[2, 1, 0], [1, -2, 1], [0, 1, -2]], (1, 0, 0), id="last_degree_zero"),
+        # G.h = (2, 0, 1) and the last block [[0, 1], [1, 0]]: eliminating
+        # the last coordinate leaves no square term (A = 0).
+        pytest.param([[1, 1, 0], [1, 0, 1], [0, 1, 0]], (1, 1, -1), id="degenerate_quadratic"),
+    ],
+)
+def test_search_fallback(gram, h):
+    lat = hand_built(gram, h)
+    total = 0
+    for deg in range(-4, 5):
+        for self_int in range(-12, 13):
+            total += len(assert_matches_full_scan(lat, 3, deg, self_int))
+    assert total > 0
+
+
+def assert_every_target(lat, bound):
+    # One scan of the box buckets every class by its (degree, self-
+    # intersection); the search must return each bucket for its target and
+    # nothing for the targets between them.
+    buckets = {}
+    for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
+        d = DivisorClass(coords)
+        buckets.setdefault((pair(lat, d, lat.h), pair(lat, d, d)), []).append(d)
+    degrees = [deg for deg, _ in buckets]
+    self_ints = [s for _, s in buckets]
+    for deg in range(min(degrees) - 1, max(degrees) + 2):
+        for self_int in range(min(self_ints) - 1, max(self_ints) + 2):
+            assert brute_force_search(lat, bound, deg, self_int) == buckets.get(
+                (deg, self_int), []
+            ), (lat.describe(), bound, deg, self_int)
+
+
+def test_search_every_target_of_small_boxes():
+    for d, bound in ((2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 3), (9, 3)):
+        assert_every_target(delpezzo_lattice(d), bound)
+    assert_every_target(k3_024_lattice(), 2)
+
+
+def test_search_matches_full_scan_on_random_lattices():
+    # Random symmetric Gram matrices reach every branch: either sign of the
+    # square term, zero degree entries, coupled and decoupled blocks.
+    rng = random.Random(7)
+    checked = 0
+    while checked < 150:
+        rank = rng.randint(1, 4)
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = rng.choice((0, 0, 1, -1, 2, -2, 3))
+        h = [rng.randint(-1, 2) for _ in range(rank)]
+        if sum(h[i] * gram[i][j] * h[j] for i in range(rank) for j in range(rank)) <= 0:
+            continue
+        lat = hand_built(gram, h)
+        bound = 3 if rank < 4 else 2
+        d = DivisorClass([rng.randint(-bound, bound) for _ in range(rank)])
+        self_int = pair(lat, d, d) + rng.choice((0, 0, 1, -2))
+        assert_matches_full_scan(lat, bound, pair(lat, d, lat.h), self_int)
+        checked += 1
 
 
 def test_search_box_semantics():
