@@ -9,8 +9,10 @@ arithmetic.
 
 from .citations import ALL_LABELS, canonical_order
 from .classify import (
+    Classification,
     ComplexityVerdict,
     LineBundleStatus,
+    classify_triple,
     in_t1,
     in_t2,
     line_bundle_status,
@@ -72,6 +74,7 @@ __all__ = [
     "BranchTriple",
     "CBRecipe",
     "CheckLine",
+    "Classification",
     "ComplexityVerdict",
     "ConsistencyError",
     "DisconnectedError",
@@ -95,6 +98,7 @@ __all__ = [
     "brute_force_search",
     "canonical_order",
     "check_numerical_ulrich",
+    "classify_triple",
     "delpezzo_lattice",
     "in_t1",
     "in_t2",

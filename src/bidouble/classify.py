@@ -1,26 +1,27 @@
-"""Top-level verdicts: Ulrich line-bundle status and Ulrich complexity.
+"""Top-level verdicts, one pass per triple: ``classify_triple``.
 
-The decision tree, on the sorted triple:
+``classify_triple(t)`` fills a frozen ``Classification`` record, computing
+each fact once.  After the invariants and the Picard verdict, the line
+bundles are decided on the sorted triple:
 
-line bundles
-    odd cover                  -> impossible   (odd-rank parity obstruction)
-    (0,2,2), (0,2,4)           -> exists       (certified low-degree cases)
-    (0,2,2n), n >= 3           -> impossible   (quadric discriminant route)
-    (0,4,2n) n >= 2, (2,2,2n)  -> open         (neither route decides)
-    any other even cover       -> impossible   (rho = 1, rank-1 elimination)
+    odd cover                -> impossible   (odd-rank parity obstruction)
+    (0,2,2), (0,2,4)         -> exists       (certified low-degree cases)
+    (0,2,2n), n >= 3         -> impossible   (quadric discriminant route)
+    other even, rho > 1      -> open         (neither route decides)
+    other even, rho = 1      -> impossible   (rank-1 elimination)
 
-complexity uc(S, H)
-    odd cover                  -> uc > 1       (lower bound only)
-    T2 = {(0,2,2), (0,2,4)}    -> uc = 1
-    T1 = {(0,4,2n) n >= 2} u {(2,2,2n) n >= 1} -> 1 <= uc <= 2
-    other even covers          -> uc = 2
+One cross-check holds that verdict to the closed forms T2 = {(0,2,2),
+(0,2,4)} ("exists") and T1 = {(0,4,2n) n >= 2} u {(2,2,2n) n >= 1}
+("open").  Every even cover but (0,2,2) gets a verified rank-two recipe,
+and the complexity uc(S, H) follows: uc = 1 where a line bundle exists,
+1 <= uc <= 2 where that is open, uc = 2 on the other even covers, and
+only uc > 1 on odd covers.
 
 Every "impossible" verdict is re-derived on the spot by the matching
-argument in ``numerics`` (parity, rank-1 elimination, or discriminant),
-and every upper bound uc <= 2 is witnessed by a verified rank-two recipe.
-Existence is never concluded from numerics alone: the two "exists" cases
-rest on certified constructions, which is why the numerics module has no
-"feasible implies exists" path for them to abuse.
+argument in ``numerics``, and every upper bound uc <= 2 is witnessed by
+the recipe.  Existence is never concluded from numerics alone: the two
+"exists" cases rest on certified constructions.  ``line_bundle_status``
+and ``ulrich_complexity`` are views of the record.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from .citations import (
     THM_PICARD,
     THM_RANK_TWO,
 )
-from .construction import special_rank2_recipe, verify_recipe
+from .construction import CBRecipe, special_rank2_recipe, verify_recipe
 from .errors import ConsistencyError, DomainError
-from .geometry import picard_classification, validate_triple
+from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
+from .geometry import invariants, picard_classification, validate_triple
 from .lattice import brute_force_search, delpezzo_lattice
 from .numerics import (
     UlrichCandidate,
@@ -54,8 +56,10 @@ from .numerics import (
 )
 
 __all__ = [
+    "Classification",
     "LineBundleStatus",
     "ComplexityVerdict",
+    "classify_triple",
     "in_t1",
     "in_t2",
     "line_bundle_status",
@@ -136,10 +140,9 @@ def _require(condition: bool, message: str) -> None:
         raise ConsistencyError(message)
 
 
-def line_bundle_status(t) -> LineBundleStatus:
+def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus:
     """Does the cover admit an Ulrich line bundle for the pulled-back
     polarization?  Each branch re-runs the argument that decides it."""
-    t = validate_triple(t)
     n1, n2, n3 = t.as_tuple()
 
     if not t.is_even:
@@ -197,7 +200,7 @@ def line_bundle_status(t) -> LineBundleStatus:
             citations=(PROP_QUADRIC,),
         )
 
-    if in_t1(t):
+    if not pic.rho_is_one:
         return LineBundleStatus(
             status="open",
             reason=f"the cover has Picard number > 1, so the rank-1 elimination does "
@@ -206,12 +209,6 @@ def line_bundle_status(t) -> LineBundleStatus:
             citations=(THM_LINE_RANGE, REM_OPEN),
         )
 
-    pic = picard_classification(t)
-    _require(
-        pic.rho_is_one,
-        f"even triple {t.as_tuple()} escaped every family branch but has rho > 1 "
-        f"({THM_PICARD})",
-    )
     verdict = rank1_rho1_search(t)
     _require(
         verdict.status == "infeasible_search",
@@ -225,74 +222,60 @@ def line_bundle_status(t) -> LineBundleStatus:
     )
 
 
-def ulrich_complexity(t) -> ComplexityVerdict:
-    """Smallest rank of an Ulrich bundle, as far as it is decided.
-
-    Even covers always carry a verified rank-two witness (outside (0,2,2),
-    whose rank-one bundle settles it), so the even verdicts differ only in
-    whether rank one is possible, impossible, or open.
-    """
-    t = validate_triple(t)
-
+def _complexity(t: BranchTriple, lb: LineBundleStatus, recipe) -> ComplexityVerdict:
+    # uc = 1 exactly where a line bundle exists; every other even cover has
+    # a verified recipe (only (0,2,2) lacks one), so uc <= 2 there.
     if not t.is_even:
-        verdict = odd_rank_obstruction(t, 1)
-        _require(
-            verdict.status == "infeasible_parity",
-            f"parity obstruction failed to fire on odd triple {t.as_tuple()} ({LEM_ODD_RANK})",
-        )
-        return ComplexityVerdict(
-            kind="lower_bound_only",
-            value=None,
-            bounds=(2, None),
-            trail=(THM_COMPLEXITY, LEM_ODD_RANK),
-        )
+        trail = (THM_COMPLEXITY,) + lb.citations
+        return ComplexityVerdict("lower_bound_only", None, (2, None), trail)
+    if lb.status == "exists":
+        witness = () if recipe is None else (THM_RANK_TWO,)
+        return ComplexityVerdict("exact", 1, None, (THM_COMPLEXITY,) + lb.citations + witness)
+    if lb.status == "open":
+        trail = (THM_COMPLEXITY, THM_RANK_TWO, REM_OPEN)
+        return ComplexityVerdict("upper_bound", None, (1, 2), trail)
+    trail = (THM_COMPLEXITY, COR_NO_LINE) + lb.citations + (THM_RANK_TWO,)
+    return ComplexityVerdict("exact", 2, None, trail)
 
-    if in_t2(t):
-        lb = line_bundle_status(t)
-        _require(
-            lb.status == "exists",
-            f"T2 triple {t.as_tuple()} lost its existence certificate ({PROP_LOW_DEGREE})",
-        )
-        if t.as_tuple() == (0, 2, 2):
-            return ComplexityVerdict(
-                kind="exact",
-                value=1,
-                bounds=None,
-                trail=(THM_COMPLEXITY, PROP_LOW_DEGREE),
-            )
-        _verified_recipe(t)
-        return ComplexityVerdict(
-            kind="exact",
-            value=1,
-            bounds=None,
-            trail=(THM_COMPLEXITY, PROP_LOW_DEGREE, THM_RANK_TWO),
-        )
 
-    _verified_recipe(t)
-    if in_t1(t):
-        return ComplexityVerdict(
-            kind="upper_bound",
-            value=None,
-            bounds=(1, 2),
-            trail=(THM_COMPLEXITY, THM_RANK_TWO, REM_OPEN),
-        )
+@dataclass(frozen=True)
+class Classification:
+    """Every verdict on one triple; ``recipe`` is the verified rank-two
+    recipe, or None on odd covers and on (0,2,2), which it excludes."""
 
-    lb = line_bundle_status(t)
+    triple: BranchTriple
+    invariants: SurfaceInvariants
+    picard: PicardClassification
+    line_bundle: LineBundleStatus
+    complexity: ComplexityVerdict
+    recipe: CBRecipe | None
+
+
+def classify_triple(t) -> Classification:
+    """Classify one triple in a single pass; see the module docstring."""
+    t = validate_triple(t)
+    pic = picard_classification(t)
+    lb = _line_bundle(t, pic)
+    expected = "exists" if in_t2(t) else "open" if in_t1(t) else "impossible"
     _require(
-        lb.status == "impossible",
-        f"even triple {t.as_tuple()} outside T1 u T2 should have no line bundle "
-        f"({COR_NO_LINE})",
+        lb.status == expected,
+        f"line-bundle verdict {lb.status!r} on {t.as_tuple()} disagrees with the "
+        f"closed-form sets T1, T2, which give {expected!r} ({THM_COMPLEXITY})",
     )
-    return ComplexityVerdict(
-        kind="exact",
-        value=2,
-        bounds=None,
-        trail=(THM_COMPLEXITY, COR_NO_LINE) + lb.citations + (THM_RANK_TWO,),
-    )
+    recipe = None
+    if t.is_even and t.as_tuple() != (0, 2, 2):  # (0,2,2) has m = 2 < 3
+        recipe = special_rank2_recipe(t)
+        verify_recipe(t, recipe)  # raises ConsistencyError on any failed check
+    return Classification(t, invariants(t), pic, lb, _complexity(t, lb, recipe), recipe)
 
 
-def _verified_recipe(t):
-    # Upper bound uc <= 2, witnessed constructively and checked line by line.
-    recipe = special_rank2_recipe(t)
-    verify_recipe(t, recipe)  # raises ConsistencyError on any failed check
-    return recipe
+def line_bundle_status(t) -> LineBundleStatus:
+    """Does the cover admit an Ulrich line bundle?  See ``classify_triple``."""
+    return classify_triple(t).line_bundle
+
+
+def ulrich_complexity(t) -> ComplexityVerdict:
+    """Smallest rank of an Ulrich bundle, as far as it is decided."""
+    return classify_triple(t).complexity
+
+

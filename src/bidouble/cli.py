@@ -25,11 +25,11 @@ import re
 import sys
 
 from .citations import PROP_INVARIANTS, PROP_LOW_DEGREE, THM_RANK_TWO, canonical_order
-from .classify import line_bundle_status, ulrich_complexity
-from .construction import CBRecipe, special_rank2_recipe
+from .classify import classify_triple
+from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError
-from .geometry import BranchTriple, invariants, picard_classification, validate_triple
-from .lattice import DivisorClass, RationalClass, preset_lattice
+from .geometry import BranchTriple, validate_triple
+from .lattice import RationalClass, brute_force_search, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
     UlrichCandidate,
@@ -41,6 +41,11 @@ from .numerics import (
 __all__ = ["main", "build_parser", "query_payload", "enumerate_triples"]
 
 _UNSIGNED = re.compile(r"^[0-9]+$")
+
+# Longest number the CLI parses.  Derived values (K^2, chi, M) have up to
+# twice its digits, still under Python's 4300-digit int-to-str limit.
+MAX_DIGITS = 1000
+MAX_ENUMERATED_DEGREE = 100  # batch --max-degree: 45,475 rows, held in memory
 
 CSV_COLUMNS = (
     "n1",
@@ -71,10 +76,17 @@ def unsigned_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an unsigned integer (signs are rejected on degrees), got {text!r}"
         )
-    return int(text)
+    return signed_int(text)
 
 
 def signed_int(text: str) -> int:
+    """Integer arguments of at most MAX_DIGITS digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"a number of {digits} digits is too long to parse "
+            f"(the ceiling is {MAX_DIGITS} digits)"
+        )
     try:
         return int(text, 10)
     except ValueError:
@@ -91,19 +103,10 @@ def query_payload(t) -> dict:
     Integers, strings, booleans and nulls only; field order is fixed so
     identical inputs render byte-identically.
     """
-    t = validate_triple(t)
-    inv = invariants(t)
-    pic = picard_classification(t)
-    lb = line_bundle_status(t)
-    uc = ulrich_complexity(t)
-
-    recipe = None
-    recipe_note = None
-    if t.is_even:
-        if t.as_tuple() == (0, 2, 2):
-            recipe_note = EXCLUSION_NOTE
-        else:
-            recipe = special_rank2_recipe(t)
+    c = classify_triple(t)
+    t, inv, pic = c.triple, c.invariants, c.picard
+    lb, uc, recipe = c.line_bundle, c.complexity, c.recipe
+    recipe_note = EXCLUSION_NOTE if recipe is None and t.is_even else None
 
     cited = {PROP_INVARIANTS, pic.cite}
     cited.update(w.cite for w in pic.witnesses)
@@ -243,16 +246,19 @@ def render_query_text(payload: dict) -> str:
 
 
 def enumerate_triples(max_degree: int) -> list[BranchTriple]:
-    """All admissible sorted triples with n3 <= max_degree, in lex order."""
-    out = []
-    for n1 in range(max_degree + 1):
-        for n2 in range(n1, max_degree + 1):
-            for n3 in range(n2, max_degree + 1):
-                try:
-                    out.append(BranchTriple(n1, n2, n3))
-                except DomainError:
-                    continue
-    return out
+    """All admissible sorted triples with n3 <= max_degree, in lex order:
+    one shared parity, so steps of 2, and no second zero after n1 = 0."""
+    if max_degree > MAX_ENUMERATED_DEGREE:
+        raise DomainError(
+            f"--max-degree {max_degree} is above the ceiling {MAX_ENUMERATED_DEGREE}; "
+            f"pass a list of triples with --input for larger degrees"
+        )
+    return [
+        BranchTriple(n1, n2, n3)
+        for n1 in range(max_degree + 1)
+        for n2 in range(n1 if n1 else 2, max_degree + 1, 2)
+        for n3 in range(n2, max_degree + 1, 2)
+    ]
 
 
 def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
@@ -278,16 +284,15 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
                 f"line {lineno}: degrees must be unsigned integers: {line!r}"
             )
             continue
-        try:
-            degrees = tuple(int(tok) for tok in tokens)
-        except ValueError:  # past the interpreter's int-string digit limit
+        longest = max(map(len, tokens))
+        if longest > MAX_DIGITS:
             diagnostics.append(
-                f"line {lineno}: a degree of {max(map(len, tokens))} digits "
-                f"is too long to parse"
+                f"line {lineno}: a degree of {longest} digits is too long to parse "
+                f"(the ceiling is {MAX_DIGITS} digits)"
             )
             continue
         try:
-            triples.append(validate_triple(degrees))
+            triples.append(validate_triple(tuple(map(int, tokens))))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
     seen = set()
@@ -408,8 +413,6 @@ def cmd_search_p1xp1(args) -> int:
 
 
 def cmd_search_lattice(args) -> int:
-    from .lattice import brute_force_search  # local import keeps startup light
-
     if args.preset == "rank1_bidouble":
         if args.triple is None:
             raise DomainError("preset rank1_bidouble needs --triple N1 N2 N3")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .citations import COR_SPECIAL, THM_CB, THM_RANK_TWO
 from .errors import ConsistencyError, DomainError, ExcludedCaseError
-from .geometry import validate_triple
+from .geometry import invariants, validate_triple
 from .numerics import special_ulrich_targets
 from .reports import CheckLine, Report
 
@@ -81,9 +81,9 @@ def special_rank2_recipe(t) -> CBRecipe:
             f"branch degrees (0,2,2) have m = 2 and are excluded from the rank-two "
             f"recipe; every other even triple has m >= 3 ({THM_RANK_TWO})"
         )
-    targets = special_ulrich_targets(t)
-    m = targets.c1_coefficient
-    big_m = targets.c2
+    # M = m^2 + sum m_i^2; verify_recipe checks it against the second route.
+    inv = invariants(t)
+    m, big_m = inv.m, inv.big_m
     if m < 3:
         raise ConsistencyError(
             f"m = {m} < 3 for a triple other than (0,2,2): {t.as_tuple()} ({THM_RANK_TWO})"

@@ -44,6 +44,7 @@ from .citations import (
 from .errors import ConsistencyError, DomainError
 from .geometry import invariants, validate_triple
 from .lattice import (
+    _CELL_CAP,
     DivisorClass,
     IntersectionLattice,
     RationalClass,
@@ -333,7 +334,8 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     quadratic 2a^2 - 2m'(n+1)a + m'^2 n = 0 with discriminant
     4m'^2 (n^2 + 1).  Integer solutions need n^2 + 1 to be a perfect
     square, which fails for every n >= 1.  A brute-force scan of the box
-    |a|, |b| <= bound (default 10(n+1)) must reach the same verdict.
+    |a|, |b| <= bound (default 10(n+1)) must reach the same verdict; boxes
+    of more than 10^8 values of a are refused, as lattice boxes are.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"quadric parameter n must be a positive integer, got {n!r}")
@@ -341,6 +343,11 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
         bound = 10 * (n + 1)
     if bound < 0:
         raise DomainError(f"search bound must be >= 0, got {bound}")
+    if 2 * bound + 1 > _CELL_CAP:
+        raise DomainError(
+            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a; "
+            f"the cap is {_CELL_CAP}, pass a smaller bound"
+        )
     trace = []
     candidates: list[UlrichCandidate] = []
     square = is_perfect_square(n * n + 1)

@@ -1,5 +1,10 @@
+from collections import Counter
+
 import pytest
 
+import bidouble.classify as classify_module
+import bidouble.cli as cli
+import bidouble.construction as construction_module
 from bidouble.citations import (
     LEM_ODD_RANK,
     LEM_RHO_ONE,
@@ -12,6 +17,7 @@ from bidouble.citations import (
 from bidouble.classify import (
     ComplexityVerdict,
     LineBundleStatus,
+    classify_triple,
     in_t1,
     in_t2,
     line_bundle_status,
@@ -149,3 +155,51 @@ def test_exists_only_in_t2():
         lb = line_bundle_status(t)
         assert (lb.status == "exists") == in_t2(t), t
         assert (lb.status == "open") == in_t1(t), t
+
+
+def test_classification_record():
+    for t in all_triples(16):
+        c = classify_triple(t)
+        assert c.triple == t
+        assert c.picard.triple == t.as_tuple()
+        assert c.invariants.n == t.n
+        assert c.line_bundle == line_bundle_status(t)
+        assert c.complexity == ulrich_complexity(t)
+        assert (c.recipe is None) == (not t.is_even or t.as_tuple() == (0, 2, 2)), t
+        if c.recipe is not None:
+            assert c.recipe == special_rank2_recipe(t)
+    assert classify_triple((4, 2, 0)) == classify_triple((0, 2, 4))
+
+
+# Every argument, certificate and cross-check a row can need, at the
+# binding its caller uses.
+SINGLE_PASS = (
+    (classify_module, "picard_classification"),
+    (classify_module, "odd_rank_obstruction"),
+    (classify_module, "rank1_rho1_search"),
+    (classify_module, "p1xp1_line_search"),
+    (classify_module, "verify_024_certificate"),
+    (classify_module, "special_rank2_recipe"),
+    (classify_module, "verify_recipe"),
+    (construction_module, "special_ulrich_targets"),
+)
+
+
+def test_each_argument_runs_once_per_row(monkeypatch):
+    calls = Counter()
+    for module, name in SINGLE_PASS:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    seen = Counter()
+    for t in all_triples(16):
+        calls.clear()
+        cli.query_payload(t)
+        assert max(calls.values(), default=0) <= 1, (t.as_tuple(), dict(calls))
+        seen.update(calls)
+    # every wrapper was reached, so the bound above is not vacuous
+    assert set(seen) == {name for _, name in SINGLE_PASS}

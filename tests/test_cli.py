@@ -154,6 +154,63 @@ def test_enumerate_triples_small():
     assert triples == [(0, 2, 2), (1, 1, 1), (2, 2, 2)]
 
 
+def test_enumerate_triples_matches_definition():
+    # admissible: sorted, one shared parity, at most one zero degree
+    for max_degree in range(13):
+        expected = [
+            (n1, n2, n3)
+            for n1 in range(max_degree + 1)
+            for n2 in range(n1, max_degree + 1)
+            for n3 in range(n2, max_degree + 1)
+            if n1 % 2 == n2 % 2 == n3 % 2 and (n1, n2) != (0, 0)
+        ]
+        got = [t.as_tuple() for t in cli.enumerate_triples(max_degree)]
+        assert got == expected, max_degree
+
+
+def test_batch_max_degree_ceiling(capsys):
+    code, out, err = run(["batch", "--max-degree", "100001"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "ceiling 100" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "2", "4", "2" * 3000],
+        ["search", "lattice", "--preset", "p1xp1", "--degree", "2", "--selfint", "-" + "2" * 3000],
+    ],
+    ids=["classify_degree", "selfint"],
+)
+def test_oversized_number_argument(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "3000 digits is too long to parse" in err
+    assert f"ceiling is {cli.MAX_DIGITS} digits" in err
+    assert "Traceback" not in err
+    assert len(err.splitlines()[-1]) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "0", "2", "200000000"],
+        ["search", "p1xp1", "--n", "3", "--bound", "1000000000"],
+    ],
+    ids=["classify", "search_p1xp1"],
+)
+def test_quadric_box_cap(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "cap" in err
+
+
 def test_batch_input_clean(capsys):
     code, out, err = run(
         ["batch", "--input", str(DATA / "triples.txt"), "--format", "csv"], capsys
@@ -398,3 +455,14 @@ def test_consistency_failure_exits_3(monkeypatch, capsys):
     code, _, err = run(["search", "rho1", "--triple", "2", "4", "6"], capsys)
     assert code == 3
     assert err.startswith("internal consistency failure:")
+
+
+def test_closed_form_cross_check_exits_3(monkeypatch, capsys):
+    # The certified (0,2,4) line bundle must land in T2; a closed form that
+    # disagrees is an internal inconsistency, not a verdict.
+    monkeypatch.setattr("bidouble.classify.in_t2", lambda t: False)
+    code, out, err = run(["classify", "0", "2", "4"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal consistency failure:")
+    assert "T1, T2" in err
