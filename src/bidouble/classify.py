@@ -159,11 +159,7 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
         )
 
     if t.as_tuple() == (0, 2, 4):
-        report = verify_024_certificate()
-        _require(
-            report.passed,
-            f"(0,2,4) certificate did not verify ({PROP_LOW_DEGREE})",
-        )
+        verify_024_certificate()  # raises ConsistencyError on any failed number
         return LineBundleStatus(
             status="exists",
             reason=f"certified line bundle on the K3-type cover: D = H + Gamma1 + "
@@ -172,11 +168,7 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
         )
 
     if t.as_tuple() == (0, 2, 2):
-        witness = _delpezzo4_conic_witness()
-        _require(
-            witness.rank == 1,
-            f"(0,2,2) del Pezzo witness has wrong rank ({PROP_LOW_DEGREE})",
-        )
+        _delpezzo4_conic_witness()  # raises ConsistencyError if the search finds none
         return LineBundleStatus(
             status="exists",
             reason=f"the cover is a degree-4 del Pezzo surface and a conic class "
@@ -186,11 +178,9 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
 
     if (n1, n2) == (0, 2):
         quadric_n = n3 // 2
-        verdict = p1xp1_line_search(quadric_n)
-        _require(
-            verdict.status == "infeasible_search",
-            f"quadric route unexpectedly fed candidates for {t.as_tuple()} ({PROP_QUADRIC})",
-        )
+        # Every real root has 0 <= a, b <= 2(n + 1), so this box is exhaustive;
+        # the scan raises ConsistencyError if it finds what the discriminant excludes.
+        p1xp1_line_search(quadric_n, bound=2 * (quadric_n + 1))
         return LineBundleStatus(
             status="impossible",
             reason=f"a line bundle would descend to the quadric with a + b = "
@@ -209,11 +199,7 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
             citations=(THM_LINE_RANGE, REM_OPEN),
         )
 
-    verdict = rank1_rho1_search(t)
-    _require(
-        verdict.status == "infeasible_search",
-        f"rank-1 elimination did not conclude on {t.as_tuple()} ({LEM_RHO_ONE})",
-    )
+    rank1_rho1_search(t)  # raises ConsistencyError if the q = 1 identity fails
     return LineBundleStatus(
         status="impossible",
         reason=f"the cover has Picard number one ({THM_PICARD}) and the rank-1 "

@@ -29,7 +29,7 @@ from .classify import classify_triple
 from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError
 from .geometry import BranchTriple, validate_triple
-from .lattice import RationalClass, brute_force_search, preset_lattice
+from .lattice import brute_force_search, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
     UlrichCandidate,
@@ -40,7 +40,8 @@ from .numerics import (
 
 __all__ = ["main", "build_parser", "query_payload", "enumerate_triples"]
 
-_UNSIGNED = re.compile(r"^[0-9]+$")
+_UNSIGNED = re.compile(r"[0-9]+")
+_SIGNED = re.compile(r"[+-]?[0-9]+")
 
 # Longest number the CLI parses.  Derived values (K^2, chi, M) have up to
 # twice its digits, still under Python's 4300-digit int-to-str limit.
@@ -70,27 +71,38 @@ EXCLUSION_NOTE = (
 )
 
 
-def unsigned_int(text: str) -> int:
-    """Degree arguments: digits only, no signs."""
-    if not _UNSIGNED.match(text):
-        raise argparse.ArgumentTypeError(
-            f"expected an unsigned integer (signs are rejected on degrees), got {text!r}"
-        )
-    return signed_int(text)
-
-
-def signed_int(text: str) -> int:
-    """Integer arguments of at most MAX_DIGITS digits."""
-    digits = len(text.strip().lstrip("+-"))
+def _parse_int(token: str, signed: bool) -> int | None:
+    """The integer a decimal token spells (a leading sign only when
+    ``signed``), or None if it spells none.  A token of more than
+    MAX_DIGITS digits raises ArgumentTypeError; that test comes first, so
+    no message repeats an overlong token."""
+    digits = len(token.lstrip("+-"))
     if digits > MAX_DIGITS:
         raise argparse.ArgumentTypeError(
             f"a number of {digits} digits is too long to parse "
             f"(the ceiling is {MAX_DIGITS} digits)"
         )
-    try:
-        return int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if (_SIGNED if signed else _UNSIGNED).fullmatch(token) is None:
+        return None
+    return int(token)
+
+
+def unsigned_int(text: str) -> int:
+    """Degree arguments: digits only, no signs."""
+    value = _parse_int(text, signed=False)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected an unsigned integer (signs are rejected on degrees), got {text!r}"
+        )
+    return value
+
+
+def signed_int(text: str) -> int:
+    """Integer arguments of at most MAX_DIGITS digits."""
+    value = _parse_int(text, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +285,23 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        if len(tokens) != 3:
+        try:
+            degrees = [_parse_int(tok, signed=False) for tok in line.split()]
+        except argparse.ArgumentTypeError as exc:
+            diagnostics.append(f"line {lineno}: {exc}")
+            continue
+        if len(degrees) != 3:
             diagnostics.append(
-                f"line {lineno}: expected three degrees, got {len(tokens)}: {line!r}"
+                f"line {lineno}: expected three degrees, got {len(degrees)}: {line!r}"
             )
             continue
-        if not all(_UNSIGNED.match(tok) for tok in tokens):
+        if None in degrees:
             diagnostics.append(
                 f"line {lineno}: degrees must be unsigned integers: {line!r}"
             )
             continue
-        longest = max(map(len, tokens))
-        if longest > MAX_DIGITS:
-            diagnostics.append(
-                f"line {lineno}: a degree of {longest} digits is too long to parse "
-                f"(the ceiling is {MAX_DIGITS} digits)"
-            )
-            continue
         try:
-            triples.append(validate_triple(tuple(map(int, tokens))))
+            triples.append(validate_triple(degrees))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
     seen = set()
@@ -362,22 +371,12 @@ def cmd_batch(args) -> int:
     return 2 if diagnostics else 0
 
 
-def _candidate_payload(cand: UlrichCandidate) -> dict:
-    if isinstance(cand.c1, RationalClass):
-        c1 = {
-            "numerator": list(cand.c1.numerator.coords),
-            "denominator": cand.c1.denominator,
-        }
-    else:
-        c1 = list(cand.c1.coords)
-    return {"c1": c1, "c2": cand.c2, "rank": cand.rank}
-
-
 def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
+    # No verdict carries candidates; the key stays so the JSON shape holds.
     return {
         "status": verdict.status,
         "trace": [{"step": s.step, "cite": s.cite} for s in verdict.trace],
-        "candidates": [_candidate_payload(c) for c in verdict.candidates],
+        "candidates": [],
     }
 
 

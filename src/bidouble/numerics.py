@@ -22,12 +22,15 @@ case analyses that rule line bundles out on bidouble planes:
   perfect square for n >= 1.
 
 Every verdict carries a step-by-step trace with statement citations so the
-eliminations can be audited line by line.
+eliminations can be audited line by line.  No verdict carries candidates:
+each argument closes every case it covers (n^2 < n^2 + 1 < (n+1)^2 for the
+quadric route), so a surviving candidate could only come from broken
+arithmetic, and the second routes raise ``ConsistencyError`` on it instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -95,43 +98,29 @@ class TraceStep:
         return f"{self.step} [{self.cite}]"
 
 
-VERDICT_STATUSES = (
-    "infeasible_parity",
-    "infeasible_search",
-    "feasible_candidates",
-    "not_applicable",
-)
+VERDICT_STATUSES = ("infeasible_parity", "infeasible_search", "not_applicable")
 
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
-    """Outcome of one elimination argument or search.
+    """Outcome of one elimination argument.
 
     ``not_applicable`` is the neutral status for obstructions that are
     vacuous on the given input (an even product in the parity argument).
+    There is no feasible status: every argument here eliminates all the
+    cases it covers, and a failed cross-check raises instead.
     """
 
     status: str
     trace: tuple[TraceStep, ...]
-    candidates: tuple[UlrichCandidate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.status not in VERDICT_STATUSES:
             raise DomainError(f"unknown verdict status {self.status!r}")
-        if (self.status == "feasible_candidates") != bool(self.candidates):
-            raise ConsistencyError(
-                f"status {self.status} inconsistent with {len(self.candidates)} candidates"
-            )
-
-    @property
-    def feasible(self) -> bool:
-        return self.status == "feasible_candidates"
 
     def render(self) -> str:
         lines = [step.render() for step in self.trace]
         lines.append(f"verdict: {self.status}")
-        for cand in self.candidates:
-            lines.append(f"  candidate: c1 = {cand.c1}, c2 = {cand.c2}, rank = {cand.rank}")
         return "\n".join(lines)
 
 
@@ -174,29 +163,27 @@ class SpecialTargets:
 
 
 def special_ulrich_targets(t) -> SpecialTargets:
-    """(m, M) for an even triple, with M computed along two independent
+    """(m, M) for an even triple, with M checked along two independent
     routes that must agree:
 
-        route 1:  M = m^2 + m1^2 + m2^2 + m3^2
-        route 2:  c2 = (5 H^2 + 3 H.K)/2 + 2 chi
+        route 1:  M = m^2 + m1^2 + m2^2 + m3^2     (``invariants``)
+        route 2:  2M = 5 H^2 + 3 H.K + 4 chi
 
-    Route 2 is the rank-2 specialization of Equality (2.2) at c1 = mH;
-    a mismatch would mean the invariant formulas are broken, so it raises.
+    Route 2 is the rank-2 specialization of Equality (2.2) at c1 = mH,
+    times two; a mismatch would mean the invariant formulas are broken,
+    so it raises.
     """
     t = validate_triple(t)
     if not t.is_even:
         raise DomainError(f"special Ulrich targets need an even triple, got {t.as_tuple()}")
     inv = invariants(t)
-    m = t.m
-    m1, m2, m3 = t.halves
-    route1 = m * m + m1 * m1 + m2 * m2 + m3 * m3
-    route2 = Fraction(5 * inv.h_squared + 3 * inv.h_dot_k, 2) + 2 * inv.chi
-    if route1 != route2:
+    route2 = 5 * inv.h_squared + 3 * inv.h_dot_k + 4 * inv.chi
+    if 2 * inv.big_m != route2:
         raise ConsistencyError(
-            f"special c2 mismatch on {t.as_tuple()}: M = {route1} ({THM_RANK_TWO}) vs "
-            f"{route2} ({COR_SPECIAL})"
+            f"special c2 mismatch on {t.as_tuple()}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
+            f"vs 5 H^2 + 3 H.K + 4 chi = {route2} ({COR_SPECIAL})"
         )
-    return SpecialTargets(c1_coefficient=m, c2=route1)
+    return SpecialTargets(c1_coefficient=inv.m, c2=inv.big_m)
 
 
 def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
@@ -281,15 +268,16 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
                 LEM_RHO_ONE,
             )
         )
-    # q = 1: substitute a = n/4 into Equality (2.2) as exact rationals.
-    a1 = Fraction(n, 4)
-    residual_eq = 2 * a1 * a1 - a1 * (n - 6) - 4 + chi
+    # q = 1: a = n/4 in Equality (2.2), 2a^2 - a(n - 6) - 4 + chi = 0,
+    # times 8 to clear the denominators.
+    cleared = n * n - 2 * n * (n - 6) - 32 + 8 * chi
     sum_sq = n1 * n1 + n2 * n2 + n3 * n3
-    if 8 * residual_eq != sum_sq:
+    if cleared != sum_sq:
         raise ConsistencyError(
             f"q = 1 reduction identity failed on {t.as_tuple()}: "
-            f"8 * ({residual_eq}) != {sum_sq} ({LEM_RHO_ONE})"
+            f"n^2 - 2n(n - 6) - 32 + 8 chi = {cleared} != {sum_sq} ({LEM_RHO_ONE})"
         )
+    a1 = n // 4 if n % 4 == 0 else f"{n // 2}/2"  # n is even
     trace.append(
         TraceStep(
             f"q = 1: Equality (2.1) gives a = n/4 = {a1}; substituting into Equality (2.2) "
@@ -334,8 +322,10 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     quadratic 2a^2 - 2m'(n+1)a + m'^2 n = 0 with discriminant
     4m'^2 (n^2 + 1).  Integer solutions need n^2 + 1 to be a perfect
     square, which fails for every n >= 1.  A brute-force scan of the box
-    |a|, |b| <= bound (default 10(n+1)) must reach the same verdict; boxes
-    of more than 10^8 values of a are refused, as lattice boxes are.
+    |a|, |b| <= bound (default 10(n+1)) must find no solution either; every
+    real root has 0 <= a, b <= m'(n+1), so any bound >= 2(n+1) makes the
+    scan exhaustive.  Boxes of more than 10^8 values of a are refused, as
+    lattice boxes are.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"quadric parameter n must be a positive integer, got {n!r}")
@@ -348,9 +338,12 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
             f"quadric box scan at bound {bound} has {2 * bound + 1} values of a; "
             f"the cap is {_CELL_CAP}, pass a smaller bound"
         )
+    if is_perfect_square(n * n + 1):
+        raise ConsistencyError(
+            f"n^2 + 1 = {n * n + 1} tested as a perfect square, but n^2 < n^2 + 1 < "
+            f"(n + 1)^2 for n = {n} ({PROP_QUADRIC})"
+        )
     trace = []
-    candidates: list[UlrichCandidate] = []
-    square = is_perfect_square(n * n + 1)
     for mprime in (1, 2):
         trace.append(
             TraceStep(
@@ -367,26 +360,13 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
                 PROP_QUADRIC,
             )
         )
-        if not square:
-            trace.append(
-                TraceStep(
-                    f"n^2 + 1 = {n * n + 1} is not a perfect square "
-                    f"(isqrt = {isqrt(n * n + 1)}), so no integer root",
-                    PROP_QUADRIC,
-                )
+        trace.append(
+            TraceStep(
+                f"n^2 + 1 = {n * n + 1} is not a perfect square "
+                f"(isqrt = {isqrt(n * n + 1)}), so no integer root",
+                PROP_QUADRIC,
             )
-            continue
-        # Defensive branch: cannot occur for n >= 1, but report honestly.
-        root = isqrt(n * n + 1)
-        for sign in (1, -1):
-            num = mprime * ((n + 1) + sign * root)
-            if num % 2 == 0:
-                a = num // 2
-                b = (n + 1) * mprime - a
-                candidates.append(UlrichCandidate(DivisorClass((a, b)), 0, 1))
-                trace.append(
-                    TraceStep(f"integer root a = {a}, b = {b}", PROP_QUADRIC)
-                )
+        )
     box_solutions = []
     for mprime in (1, 2):
         box_solutions.extend(_quadric_box_solutions(n, mprime, bound))
@@ -397,14 +377,12 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
             PROP_QUADRIC,
         )
     )
-    if bool(box_solutions) != bool(candidates):
+    if box_solutions:
         raise ConsistencyError(
-            f"quadric discriminant route and box search disagree for n = {n}, "
-            f"bound = {bound}: {len(candidates)} vs {len(box_solutions)} solutions "
-            f"({PROP_QUADRIC})"
+            f"quadric discriminant route leaves no integer root for n = {n}, but the box "
+            f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
+            f"{box_solutions[0]} ({PROP_QUADRIC})"
         )
-    if candidates:
-        return FeasibilityVerdict("feasible_candidates", tuple(trace), tuple(candidates))
     return FeasibilityVerdict("infeasible_search", tuple(trace))
 
 

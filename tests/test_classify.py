@@ -24,7 +24,7 @@ from bidouble.classify import (
     ulrich_complexity,
 )
 from bidouble.construction import special_rank2_recipe, verify_recipe
-from bidouble.errors import DomainError
+from bidouble.errors import ConsistencyError, DomainError
 from bidouble.geometry import validate_triple
 
 
@@ -203,3 +203,34 @@ def test_each_argument_runs_once_per_row(monkeypatch):
         seen.update(calls)
     # every wrapper was reached, so the bound above is not vacuous
     assert set(seen) == {name for _, name in SINGLE_PASS}
+
+
+def test_quadric_box_in_classify_is_exhaustive(monkeypatch):
+    # The real roots of 2a^2 - 2m'(n+1)a + m'^2 n lie in [0, m'(n+1)], so
+    # classify scans |a|, |b| <= 2(n+1), not the default 10(n+1).
+    seen = []
+    real = classify_module.p1xp1_line_search
+
+    def spy(n, bound=None):
+        seen.append((n, bound))
+        return real(n, bound=bound)
+
+    monkeypatch.setattr(classify_module, "p1xp1_line_search", spy)
+    classify_triple((0, 2, 10))
+    assert seen == [(5, 12)]
+    for n in range(1, 200):
+        for mprime in (1, 2):
+            for sign in (1, -1):
+                root = mprime * ((n + 1) + sign * (n * n + 1) ** 0.5) / 2
+                assert 0 <= root <= 2 * (n + 1)
+                assert 0 <= (n + 1) * mprime - root <= 2 * (n + 1)
+
+
+def test_delpezzo_witness_fires(monkeypatch):
+    monkeypatch.setattr(classify_module, "check_numerical_ulrich", lambda lat, cand: False)
+    classify_module._delpezzo4_conic_witness.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="no rank-1 Ulrich witness"):
+            classify_triple((0, 2, 2))
+    finally:
+        classify_module._delpezzo4_conic_witness.cache_clear()

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import bidouble.cli as cli
+import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
 from bidouble.errors import ConsistencyError
 
@@ -180,9 +182,10 @@ def test_batch_max_degree_ceiling(capsys):
     "argv",
     [
         ["classify", "2", "4", "2" * 3000],
+        ["classify", "2", "4", "+" + "2" * 3000],
         ["search", "lattice", "--preset", "p1xp1", "--degree", "2", "--selfint", "-" + "2" * 3000],
     ],
-    ids=["classify_degree", "selfint"],
+    ids=["classify_degree", "classify_signed_degree", "selfint"],
 )
 def test_oversized_number_argument(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -260,6 +263,20 @@ def test_batch_input_oversized_token(capsys, tmp_path):
         assert "5000 digits is too long to parse" in skipped[0]
 
 
+def test_batch_input_oversized_signed_token(capsys, tmp_path):
+    # The digit ceiling is tested before the sign and the arity, so neither
+    # diagnostic repeats the 3000-digit token.
+    path = tmp_path / "signed.txt"
+    path.write_text("2 4 +" + "2" * 3000 + "\n1 2 3 " + "4" * 3000 + "\n2 4 6\n")
+    code, out, err = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert code == 2
+    assert [r.split(",")[:3] for r in out.splitlines()[1:]] == [["2", "4", "6"]]
+    skipped = [line for line in err.splitlines() if line.startswith("skipped line")]
+    assert [line[:15] for line in skipped] == ["skipped line 1:", "skipped line 2:"]
+    assert all("3000 digits is too long to parse" in line for line in skipped)
+    assert max(map(len, err.splitlines())) < 200
+
+
 def test_cli_import_leaves_numpy_out():
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -332,6 +349,7 @@ def test_search_p1xp1_json(capsys):
     assert payload["n"] == 3
     assert payload["bound"] == 40
     assert payload["verdict"]["status"] == "infeasible_search"
+    assert payload["verdict"]["candidates"] == []
     steps = [s["step"] for s in payload["verdict"]["trace"]]
     assert any("discriminant" in s for s in steps)
 
@@ -466,3 +484,49 @@ def test_closed_form_cross_check_exits_3(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal consistency failure:")
     assert "T1, T2" in err
+
+
+def shift_chi(monkeypatch):
+    real = numerics_module.invariants
+    monkeypatch.setattr(
+        numerics_module,
+        "invariants",
+        lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
+    )
+
+
+@pytest.mark.parametrize(
+    "patch, argv, needle",
+    [
+        (
+            lambda mp: mp.setattr(numerics_module, "is_perfect_square", lambda v: True),
+            ["classify", "0", "2", "6"],
+            "perfect square",
+        ),
+        (
+            lambda mp: mp.setattr(
+                numerics_module, "_quadric_box_solutions", lambda n, mprime, bound: [(1, 3)]
+            ),
+            ["search", "p1xp1", "--n", "3"],
+            "box",
+        ),
+        (shift_chi, ["search", "rho1", "--triple", "2", "4", "6"], "q = 1 reduction"),
+        (shift_chi, ["classify", "2", "4", "6"], "q = 1 reduction"),
+        (shift_chi, ["classify", "0", "4", "4"], "special c2 mismatch"),
+        (
+            lambda mp: mp.setattr(
+                numerics_module, "check_numerical_ulrich", lambda lat, cand: False
+            ),
+            ["classify", "0", "2", "4"],
+            "certificate mismatch",
+        ),
+    ],
+    ids=["discriminant", "quadric_box", "rho1_q1", "classify_q1", "special_c2", "certificate"],
+)
+def test_second_routes_exit_3(patch, argv, needle, monkeypatch, capsys):
+    patch(monkeypatch)
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal consistency failure:")
+    assert needle in err

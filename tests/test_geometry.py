@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bidouble.errors import DisconnectedError, DomainError, ParityError
+from bidouble.errors import ConsistencyError, DisconnectedError, DomainError, ParityError
 from bidouble.geometry import (
     BranchTriple,
     intermediate_picard,
@@ -197,3 +197,9 @@ def test_picard_classification_matches_families_everywhere():
                     continue
                 pc = picard_classification(t)
                 assert pc.rho_is_one == (picard_jump_family(t) is None), t
+
+
+def test_picard_pairs_vs_family_list_fires(monkeypatch):
+    monkeypatch.setattr("bidouble.geometry.picard_jump_family", lambda t: None)
+    with pytest.raises(ConsistencyError, match="family list"):
+        picard_classification((2, 2, 2))

@@ -1,8 +1,10 @@
+import dataclasses
 import re
 from fractions import Fraction
 
 import pytest
 
+import bidouble.numerics as numerics_module
 from bidouble.errors import ConsistencyError, DomainError
 from bidouble.geometry import validate_triple
 from bidouble.lattice import (
@@ -60,14 +62,8 @@ def test_verdict_validation():
     step = TraceStep("s", "Lemma 4.1")
     with pytest.raises(DomainError):
         FeasibilityVerdict("bogus", (step,))
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(DomainError):
         FeasibilityVerdict("feasible_candidates", (step,))
-    with pytest.raises(ConsistencyError):
-        FeasibilityVerdict(
-            "infeasible_search",
-            (step,),
-            (UlrichCandidate(DivisorClass((1,)), 0, 1),),
-        )
 
 
 def test_check_numerical_ulrich_k3_witness():
@@ -186,7 +182,6 @@ def test_odd_rank_obstruction_examples():
     v = odd_rank_obstruction((1, 1, 3), 1)
     assert v.status == "infeasible_parity"
     assert "= -5" in v.trace[0].step
-    assert not v.feasible
     v = odd_rank_obstruction((1, 1, 3), 2)
     assert v.status == "not_applicable"
     v = odd_rank_obstruction((3, 3, 5), 3)
@@ -312,3 +307,46 @@ def test_targets_are_fraction_free():
         targets = special_ulrich_targets(t)
         assert isinstance(targets.c2, int)
         assert not isinstance(targets.c2, Fraction)
+
+
+# Each second route still fires: break one side and the check must raise.
+
+
+def test_quadric_discriminant_guard_fires(monkeypatch):
+    monkeypatch.setattr("bidouble.numerics.is_perfect_square", lambda value: True)
+    with pytest.raises(ConsistencyError, match="perfect square"):
+        p1xp1_line_search(3)
+
+
+def test_quadric_box_cross_check_fires(monkeypatch):
+    monkeypatch.setattr(
+        "bidouble.numerics._quadric_box_solutions", lambda n, mprime, bound: [(1, 3)]
+    )
+    with pytest.raises(ConsistencyError, match=r"box .* holds 2 solution\(s\)"):
+        p1xp1_line_search(3)
+
+
+def shift_chi(monkeypatch):
+    real = numerics_module.invariants
+    monkeypatch.setattr(
+        "bidouble.numerics.invariants",
+        lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
+    )
+
+
+def test_rank1_q1_identity_fires(monkeypatch):
+    shift_chi(monkeypatch)
+    with pytest.raises(ConsistencyError, match="q = 1 reduction identity failed"):
+        rank1_rho1_search((2, 4, 6))
+
+
+def test_special_c2_two_routes_fire(monkeypatch):
+    shift_chi(monkeypatch)
+    with pytest.raises(ConsistencyError, match="special c2 mismatch"):
+        special_ulrich_targets((2, 4, 6))
+
+
+def test_certificate_fires_on_a_failed_number(monkeypatch):
+    monkeypatch.setattr("bidouble.numerics.check_numerical_ulrich", lambda lat, cand: False)
+    with pytest.raises(ConsistencyError, match=r"certificate mismatch .*Equalities"):
+        verify_024_certificate()

@@ -1,0 +1,108 @@
+"""Property tests of the CLI: exit codes, permutation invariance, and
+agreement of the batch renderers.  Skipped when Hypothesis is missing."""
+
+import contextlib
+import csv
+import io
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import bidouble.cli as cli  # noqa: E402
+from bidouble.errors import DomainError  # noqa: E402
+from bidouble.geometry import validate_triple  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+# 1-4 digits keep every quadric box small; 1001-1100 digits cross the ceiling.
+number = st.builds(
+    str.__add__,
+    st.sampled_from(["", "", "", "+", "-"]),
+    st.one_of(
+        st.text("0123456789", min_size=1, max_size=4),
+        st.text("0123456789", min_size=1001, max_size=1100),
+    ),
+)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@SETTINGS
+@given(
+    st.sampled_from([["classify"], ["search", "rho1", "--triple"]]),
+    st.lists(number, min_size=3, max_size=3),
+)
+def test_digit_argv_exits_0_or_2(command, degrees):
+    # Any other exception propagates and fails the test: that is exit 1.
+    code, out, err = run_cli(command + degrees)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == ""
+        assert len(err.splitlines()[-1]) < 200
+
+
+@st.composite
+def admissible_triples(draw, max_half=30):
+    parity = draw(st.integers(0, 1))
+    degrees = [2 * draw(st.integers(0, max_half)) + parity for _ in range(3)]
+    try:
+        return validate_triple(degrees).as_tuple()
+    except DomainError:  # two zero degrees
+        return (0, 2, 2 * draw(st.integers(1, max_half)))
+
+
+@SETTINGS
+@given(admissible_triples(), st.permutations(range(3)))
+def test_query_payload_permutation_invariant(t, order):
+    permuted = tuple(t[i] for i in order)
+    assert cli.query_payload(permuted) == cli.query_payload(t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=1, max_size=15))
+def test_batch_json_and_csv_agree(triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "triples.txt"
+        path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in triples))
+        json_code, json_out, json_err = run_cli(["batch", "--input", str(path), "--format", "json"])
+        csv_code, csv_out, csv_err = run_cli(["batch", "--input", str(path), "--format", "csv"])
+    assert (json_code, json_err) == (csv_code, csv_err)
+    valid, rejected = set(), 0
+    for t in triples:
+        try:
+            valid.add(validate_triple(t).as_tuple())
+        except DomainError:
+            rejected += 1
+    assert json_code == (2 if rejected else 0)
+    payloads = json.loads(json_out)
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert [tuple(p["triple"][k] for k in ("n1", "n2", "n3")) for p in payloads] == sorted(valid)
+    assert len(rows) == len(payloads)
+    for row, payload in zip(rows, payloads):
+        triple, inv, recipe = payload["triple"], payload["invariants"], payload["recipe"]
+        assert (row["n1"], row["n2"], row["n3"], row["parity"]) == (
+            str(triple["n1"]), str(triple["n2"]), str(triple["n3"]), triple["parity"])
+        assert (row["k_squared"], row["chi"]) == (str(inv["k_squared"]), str(inv["chi"]))
+        assert row["rho_gt_1"] == ("false" if payload["picard"]["rho_is_one"] else "true")
+        assert row["line_bundle"] == payload["line_bundle"]["status"]
+        assert row["uc_kind"] == payload["complexity"]["kind"]
+        assert row["uc_value"] == cli.uc_value_text(payload["complexity"])
+        if recipe is None:
+            assert (row["recipe_deg_c"], row["recipe_deg_cprime"], row["z_count"]) == ("", "", "")
+        else:
+            assert (row["recipe_deg_c"], row["recipe_deg_cprime"], row["z_count"]) == (
+                str(recipe["deg_c"]), str(recipe["deg_cprime"]), str(recipe["z_count"]))
