@@ -41,14 +41,12 @@ from .geometry import (
 from .lattice import (
     DivisorClass,
     IntersectionLattice,
-    RationalClass,
     arithmetic_genus,
     brute_force_search,
     delpezzo_lattice,
     k3_024_lattice,
     p1xp1_lattice,
     pair,
-    pair_q,
     preset_lattice,
     rank1_bidouble_lattice,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "LineBundleStatus",
     "ParityError",
     "PicardClassification",
-    "RationalClass",
     "Report",
     "ShapeError",
     "SpecialTargets",
@@ -111,7 +108,6 @@ __all__ = [
     "p1xp1_lattice",
     "p1xp1_line_search",
     "pair",
-    "pair_q",
     "picard_classification",
     "picard_jump_family",
     "preset_lattice",

@@ -285,19 +285,19 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        tokens = line.split()
         try:
-            degrees = [_parse_int(tok, signed=False) for tok in line.split()]
+            degrees = [_parse_int(tok, signed=False) for tok in tokens]
         except argparse.ArgumentTypeError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
             continue
         if len(degrees) != 3:
-            diagnostics.append(
-                f"line {lineno}: expected three degrees, got {len(degrees)}: {line!r}"
-            )
+            diagnostics.append(f"line {lineno}: expected three degrees, got {len(degrees)}")
             continue
         if None in degrees:
+            token = tokens[degrees.index(None)]
             diagnostics.append(
-                f"line {lineno}: degrees must be unsigned integers: {line!r}"
+                f"line {lineno}: degrees must be unsigned integers, got {token!r}"
             )
             continue
         try:

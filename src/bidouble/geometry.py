@@ -13,7 +13,9 @@ Invariants of the cover S with n = n1+n2+n3:
     chi   = 4 + (n1^2 + n2^2 + n3^2 + n1*n2 + n1*n3 + n2*n3 - 6n) / 4
     q     = 0
 
-and, in the even case with m = n/2 and mi = ni/2, the rank-two targets
+chi is checked against Noether's formula 12 chi = K^2 + e, with the Euler
+number e counted stratum by stratum over the plane (``_euler_number``).
+In the even case, with m = n/2 and mi = ni/2, the rank-two targets are
 
     m  (the H-coefficient of c1)      M = m^2 + m1^2 + m2^2 + m3^2.
 
@@ -147,6 +149,20 @@ class SurfaceInvariants:
     big_m: int | None
 
 
+def _euler_number(n1: int, n2: int, n3: int) -> int:
+    """Topological Euler number of the cover, counted stratum by stratum.
+
+    The cover is 4:1 over the plane minus the branch curve D = D1 + D2 + D3,
+    2:1 over the smooth points of D and 1:1 over its sigma2 = sum ni*nj
+    nodes.  A smooth plane curve of degree d has e = 3d - d^2, so
+    e(D) = sum (3ni - ni^2) - sigma2, and additivity gives
+    e(S) = 4 (3 - e(D)) + 2 (e(D) - sigma2) + sigma2 = 12 - 2 e(D) - sigma2.
+    """
+    sigma2 = n1 * n2 + n1 * n3 + n2 * n3
+    e_branch = 3 * (n1 + n2 + n3) - (n1 * n1 + n2 * n2 + n3 * n3) - sigma2
+    return 12 - 2 * e_branch - sigma2
+
+
 def invariants(triple) -> SurfaceInvariants:
     """Invariants of the bidouble plane with the given branch degrees."""
     t = validate_triple(triple)
@@ -159,6 +175,14 @@ def invariants(triple) -> SurfaceInvariants:
             f"chi formula produced a non-integer for {t.as_tuple()}: {chi_num}/4 "
             f"({PROP_INVARIANTS})"
         )
+    chi = chi_num // 4
+    k_squared = (n - 6) ** 2
+    euler = _euler_number(n1, n2, n3)
+    if 12 * chi != k_squared + euler:
+        raise ConsistencyError(
+            f"Noether's formula fails on {t.as_tuple()}: 12 chi = {12 * chi}, but "
+            f"K^2 + e = {k_squared} + {euler} = {k_squared + euler} ({PROP_INVARIANTS})"
+        )
     if t.is_even:
         m = t.m
         m1, m2, m3 = t.halves
@@ -167,8 +191,8 @@ def invariants(triple) -> SurfaceInvariants:
         m = None
         big_m = None
     return SurfaceInvariants(
-        k_squared=(n - 6) ** 2,
-        chi=chi_num // 4,
+        k_squared=k_squared,
+        chi=chi,
         h_squared=4,
         h_dot_k=2 * (n - 6),
         q=0,

@@ -23,16 +23,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError, ShapeError
 
 __all__ = [
     "DivisorClass",
-    "RationalClass",
     "IntersectionLattice",
     "pair",
-    "pair_q",
     "arithmetic_genus",
     "preset_lattice",
     "rank1_bidouble_lattice",
@@ -51,7 +49,11 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+        coords = tuple(coords)
+        for c in coords:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise DomainError(f"class coordinates must be integers, got {c!r}")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def zero(cls, rank: int) -> "DivisorClass":
@@ -82,36 +84,6 @@ class DivisorClass:
 
     def __repr__(self) -> str:
         return f"DivisorClass({list(self.coords)})"
-
-
-@dataclass(frozen=True)
-class RationalClass:
-    """A class of the form (1/m) * numerator, for candidates like (a/m)*H.
-
-    The denominator is not reduced on construction; dividing out common
-    content is an explicit step (``normalized``) because the elimination
-    arguments need gcd(a, m) = 1 as a hypothesis, not as a storage format.
-    """
-
-    numerator: DivisorClass
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator < 1:
-            raise DomainError(f"denominator must be >= 1, got {self.denominator}")
-
-    def normalized(self) -> "RationalClass":
-        content = 0
-        for c in self.numerator.coords:
-            content = gcd(content, abs(c))
-        g = gcd(content, self.denominator)
-        if g <= 1:
-            return self
-        num = DivisorClass(tuple(c // g for c in self.numerator.coords))
-        return RationalClass(num, self.denominator // g)
-
-    def __repr__(self) -> str:
-        return f"RationalClass({list(self.numerator.coords)} / {self.denominator})"
 
 
 @dataclass(frozen=True)
@@ -186,18 +158,6 @@ def pair(lat: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
         row = lat.gram[i]
         total += a * sum(g * b for g, b in zip(row, d2.coords) if b)
     return total
-
-
-def pair_q(lat, x, y) -> Fraction:
-    """Pairing extended to rational classes; always an exact Fraction."""
-    den = 1
-    if isinstance(x, RationalClass):
-        den *= x.denominator
-        x = x.numerator
-    if isinstance(y, RationalClass):
-        den *= y.denominator
-        y = y.numerator
-    return Fraction(pair(lat, x, y), den)
 
 
 def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> Fraction:

@@ -7,8 +7,8 @@ Chern-number equalities:
     (2.1)   c1(E).H = (r/2) (3H + K).H
     (2.2)   c2(E)   = (c1^2 - c1.K)/2 - r (H^2 - chi)
 
-This module evaluates them in exact rational arithmetic and replays the
-case analyses that rule line bundles out on bidouble planes:
+This module evaluates them in integers, both sides doubled, and replays
+the case analyses that rule line bundles out on bidouble planes:
 
 * ``odd_rank_obstruction`` -- on an odd cover, 2 c1.K = rank * n * (n-6)
   must be even because c1.K is an integer; odd rank makes it odd.
@@ -31,7 +31,6 @@ arithmetic, and the second routes raise ``ConsistencyError`` on it instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .citations import (
@@ -50,9 +49,8 @@ from .lattice import (
     _CELL_CAP,
     DivisorClass,
     IntersectionLattice,
-    RationalClass,
     k3_024_lattice,
-    pair_q,
+    pair,
 )
 from .reports import CheckLine, Report
 
@@ -76,7 +74,7 @@ __all__ = [
 class UlrichCandidate:
     """Chern data (c1, c2, rank) of a candidate bundle."""
 
-    c1: DivisorClass | RationalClass
+    c1: DivisorClass
     c2: int
     rank: int
 
@@ -124,33 +122,28 @@ class FeasibilityVerdict:
         return "\n".join(lines)
 
 
-def check_numerical_ulrich(
-    lat: IntersectionLattice,
-    cand: UlrichCandidate,
-    chi: int | None = None,
-) -> bool:
-    """Exact test of Equalities (2.1) and (2.2) for cand on lat.
+def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> bool:
+    """Exact test of Equalities (2.1) and (2.2) for cand on lat, both sides
+    doubled so that they are integer identities:
 
-    chi defaults to the lattice's carried value; passing it explicitly
-    overrides.  With neither available the equalities are not defined and
-    the call is a usage error.
+        2 c1.H = r (3 H^2 + K.H)
+        2 c2   = c1^2 - c1.K - 2r (H^2 - chi)
+
+    chi is the lattice's carried value; a lattice without one leaves (2.2)
+    undefined and the call is a usage error.
     """
-    if chi is None:
-        chi = lat.chi
+    chi = lat.chi
     if chi is None:
         raise DomainError(
-            f"chi is required for the second Ulrich equality; {lat.describe()} "
-            f"carries none and no override was passed"
+            f"chi is required for the second Ulrich equality; {lat.describe()} carries none"
         )
     r = cand.rank
     c1 = cand.c1
-    three_h_plus_k = 3 * lat.h + lat.k
-    degree_ok = pair_q(lat, c1, lat.h) == Fraction(r, 2) * pair_q(lat, three_h_plus_k, lat.h)
-    c1_sq = pair_q(lat, c1, c1)
-    c1_k = pair_q(lat, c1, lat.k)
-    h_sq = pair_q(lat, lat.h, lat.h)
-    c2_ok = Fraction(cand.c2) == (c1_sq - c1_k) / 2 - r * (h_sq - chi)
-    return degree_ok and c2_ok
+    h_sq = pair(lat, lat.h, lat.h)
+    return (
+        2 * pair(lat, c1, lat.h) == r * (3 * h_sq + pair(lat, lat.k, lat.h))
+        and 2 * cand.c2 == pair(lat, c1, c1) - pair(lat, c1, lat.k) - 2 * r * (h_sq - chi)
+    )
 
 
 @dataclass(frozen=True)
@@ -335,8 +328,8 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
         raise DomainError(f"search bound must be >= 0, got {bound}")
     if 2 * bound + 1 > _CELL_CAP:
         raise DomainError(
-            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a; "
-            f"the cap is {_CELL_CAP}, pass a smaller bound"
+            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a, "
+            f"over the cap of {_CELL_CAP}"
         )
     if is_perfect_square(n * n + 1):
         raise ConsistencyError(

@@ -214,6 +214,15 @@ def test_quadric_box_cap(argv, capsys):
     assert "cap" in err
 
 
+def test_quadric_box_cap_in_classify_names_no_option(capsys):
+    # classify takes no bound, so its refusal must not advise passing one.
+    code, _, err = run(["classify", "0", "2", "200000000"], capsys)
+    assert code == 2
+    assert "cap" in err
+    assert "--bound" not in err
+    assert "smaller bound" not in err
+
+
 def test_batch_input_clean(capsys):
     code, out, err = run(
         ["batch", "--input", str(DATA / "triples.txt"), "--format", "csv"], capsys
@@ -274,6 +283,23 @@ def test_batch_input_oversized_signed_token(capsys, tmp_path):
     skipped = [line for line in err.splitlines() if line.startswith("skipped line")]
     assert [line[:15] for line in skipped] == ["skipped line 1:", "skipped line 2:"]
     assert all("3000 digits is too long to parse" in line for line in skipped)
+    assert max(map(len, err.splitlines())) < 200
+
+
+def test_batch_input_long_lines(capsys, tmp_path):
+    # Neither the arity nor the unsigned diagnostic repeats the raw line:
+    # one names the token count, the other the offending token.
+    path = tmp_path / "long.txt"
+    path.write_text(" ".join(["2"] * 5000) + "\nx" + " " * 100000 + "2 4\n2 4 6\n")
+    code, out, err = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert code == 2
+    assert [r.split(",")[:3] for r in out.splitlines()[1:]] == [["2", "4", "6"]]
+    skipped = [line for line in err.splitlines() if line.startswith("skipped line")]
+    assert len(skipped) == 2
+    assert skipped[0].startswith("skipped line 1:")
+    assert "expected three degrees, got 5000" in skipped[0]
+    assert skipped[1].startswith("skipped line 2:")
+    assert "unsigned integers, got 'x'" in skipped[1]
     assert max(map(len, err.splitlines())) < 200
 
 
@@ -484,6 +510,17 @@ def test_closed_form_cross_check_exits_3(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal consistency failure:")
     assert "T1, T2" in err
+
+
+def test_noether_route_exits_3(monkeypatch, capsys):
+    # An Euler count that disagrees with chi and K^2 is an internal
+    # inconsistency on every triple, whatever the command.
+    monkeypatch.setattr("bidouble.geometry._euler_number", lambda n1, n2, n3: 0)
+    code, out, err = run(["classify", "2", "4", "6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal consistency failure:")
+    assert "Noether" in err
 
 
 def shift_chi(monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import bidouble.geometry as geometry_module
 from bidouble.errors import ConsistencyError, DisconnectedError, DomainError, ParityError
 from bidouble.geometry import (
     BranchTriple,
@@ -110,6 +111,29 @@ def test_chi_matches_rational_formula():
                 chi = 4 + Fraction(n1**2 + n2**2 + n3**2 + sigma2 - 6 * n, 4)
                 assert chi.denominator == 1
                 assert invariants(t).chi == chi
+
+
+def test_chi_matches_noether_euler_count():
+    # 12 chi = K^2 + e, with e counted over the strata of the branch curve.
+    for n1 in range(0, 31):
+        for n2 in range(n1, 31):
+            for n3 in range(n2, 31):
+                try:
+                    t = validate_triple((n1, n2, n3))
+                except DomainError:
+                    continue
+                inv = invariants(t)
+                assert 12 * inv.chi == inv.k_squared + geometry_module._euler_number(n1, n2, n3)
+    # (1,1,1) is the plane again, (0,2,2) the degree-4 del Pezzo (P^2 blown up at 5 points).
+    assert geometry_module._euler_number(1, 1, 1) == 3
+    assert geometry_module._euler_number(0, 2, 2) == 8
+
+
+def test_noether_route_fires(monkeypatch):
+    real = geometry_module._euler_number
+    monkeypatch.setattr(geometry_module, "_euler_number", lambda *n: real(*n) + 12)
+    with pytest.raises(ConsistencyError, match="Noether's formula fails on \\(2, 4, 6\\)"):
+        invariants((2, 4, 6))
 
 
 def test_intermediate_picard_table():

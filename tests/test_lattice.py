@@ -8,14 +8,12 @@ from bidouble.errors import DomainError, ShapeError
 from bidouble.lattice import (
     DivisorClass,
     IntersectionLattice,
-    RationalClass,
     arithmetic_genus,
     brute_force_search,
     delpezzo_lattice,
     k3_024_lattice,
     p1xp1_lattice,
     pair,
-    pair_q,
     preset_lattice,
     rank1_bidouble_lattice,
     _search_python,
@@ -59,16 +57,13 @@ def test_divisor_class_shape_mismatch():
         DivisorClass((1, 2)) + DivisorClass((1, 2, 3))
 
 
-def test_rational_class_normalization():
-    r = RationalClass(DivisorClass((2, 4)), 6)
-    n = r.normalized()
-    assert n.numerator.coords == (1, 2)
-    assert n.denominator == 3
-    # already reduced: returned as-is
-    s = RationalClass(DivisorClass((1, 2)), 2)
-    assert s.normalized() is s
+def test_divisor_class_rejects_non_integers():
+    # Coordinates are exact integers; nothing is truncated or parsed.
+    for coords in [(1.5, 2.9), (2.0,), ("3",), (True, 0), (1, False), (1, None)]:
+        with pytest.raises(DomainError):
+            DivisorClass(coords)
     with pytest.raises(DomainError):
-        RationalClass(DivisorClass((1,)), 0)
+        0.5 * DivisorClass((2, 4))
 
 
 def test_lattice_validation():
@@ -193,14 +188,6 @@ def test_presets_nondegenerate():
     for lat in (k3_024_lattice(), p1xp1_lattice(), delpezzo_lattice(4),
                 rank1_bidouble_lattice((2, 2, 2))):
         assert exact_det(lat.gram) != 0, lat.describe()
-
-
-def test_pair_q_rational_classes():
-    lat = rank1_bidouble_lattice((2, 4, 6))
-    half_h = RationalClass(lat.h, 2)
-    assert pair_q(lat, half_h, lat.h) == Fraction(2)
-    assert pair_q(lat, half_h, half_h) == Fraction(1)
-    assert pair_q(lat, lat.h, lat.h) == Fraction(4)
 
 
 def test_pair_shape_error():

@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import math
+import random
 import re
 from fractions import Fraction
 
@@ -9,11 +12,12 @@ from bidouble.errors import ConsistencyError, DomainError
 from bidouble.geometry import validate_triple
 from bidouble.lattice import (
     DivisorClass,
+    brute_force_search,
     IntersectionLattice,
-    RationalClass,
     delpezzo_lattice,
     k3_024_lattice,
-    pair_q,
+    p1xp1_lattice,
+    pair,
     rank1_bidouble_lattice,
 )
 from bidouble.numerics import (
@@ -81,7 +85,7 @@ def test_check_numerical_ulrich_delpezzo_witness():
     conic = DivisorClass((2, -1, -1, 0, 0, 0))
     assert check_numerical_ulrich(lat, UlrichCandidate(conic, 0, 1))
     zero = DivisorClass.zero(6)
-    assert pair_q(lat, 3 * lat.h + lat.k, lat.h) != 0
+    assert pair(lat, 3 * lat.h + lat.k, lat.h) != 0
     assert not check_numerical_ulrich(lat, UlrichCandidate(zero, 0, 1))
 
 
@@ -109,19 +113,6 @@ def test_check_numerical_ulrich_chi_handling():
     cand = UlrichCandidate(DivisorClass((1,)), 0, 1)
     with pytest.raises(DomainError):
         check_numerical_ulrich(lat, cand)
-    # explicit chi: (2.1) 4 = 6 fails regardless; (2.2) alone would hold at chi = 4
-    assert not check_numerical_ulrich(lat, cand, chi=4)
-
-
-def test_check_numerical_ulrich_rational_c1():
-    lat = rank1_bidouble_lattice((2, 4, 6))
-    # (n/4)H = 3H: same class either way
-    as_rational = RationalClass(DivisorClass((12,)), 4)
-    as_integral = DivisorClass((3,))
-    for c2, rank in [(0, 1), (7, 2)]:
-        a = check_numerical_ulrich(lat, UlrichCandidate(as_rational, c2, rank))
-        b = check_numerical_ulrich(lat, UlrichCandidate(as_integral, c2, rank))
-        assert a == b
 
 
 def test_check_numerical_ulrich_kernel_invariance():
@@ -136,8 +127,8 @@ def test_check_numerical_ulrich_kernel_invariance():
         chi=2,
     )
     kernel = DivisorClass((1, -1))
-    assert pair_q(lat, kernel, lat.h) == 0
-    assert pair_q(lat, kernel, kernel) == 0
+    assert pair(lat, kernel, lat.h) == 0
+    assert pair(lat, kernel, kernel) == 0
     for base in [DivisorClass((1, 0)), DivisorClass((3, -2)), DivisorClass((0, 2))]:
         for c2 in (0, 4, -6):
             for rank in (1, 2, 3):
@@ -148,6 +139,122 @@ def test_check_numerical_ulrich_kernel_invariance():
                 assert check_numerical_ulrich(lat, cand) == check_numerical_ulrich(
                     lat, shifted
                 )
+
+
+def c2_reference(lat, c1, rank):
+    """Right-hand side of Equality (2.2), c2 = (c1^2 - c1.K)/2 - r (H^2 - chi)."""
+    c1_sq_minus_k = pair(lat, c1, c1) - pair(lat, c1, lat.k)
+    return Fraction(c1_sq_minus_k, 2) - rank * (pair(lat, lat.h, lat.h) - lat.chi)
+
+
+def ulrich_reference(lat, c1, c2, rank):
+    """Equalities (2.1) and (2.2) as the paper states them (Prop. 2.3; also
+    Beauville, "An introduction to Ulrich bundles", Eur. J. Math. 4, 2018),
+    evaluated in Fractions without clearing the halves:
+
+        (2.1)  c1.H = (r/2) (3H + K).H
+        (2.2)  c2   = (c1^2 - c1.K)/2 - r (H^2 - chi)
+    """
+    h = lat.h
+    degree_ok = Fraction(pair(lat, c1, h)) == Fraction(rank, 2) * pair(lat, 3 * h + lat.k, h)
+    return degree_ok and Fraction(c2) == c2_reference(lat, c1, rank)
+
+
+def assert_matches_reference(lat, c1, c2, rank):
+    got = check_numerical_ulrich(lat, UlrichCandidate(c1, c2, rank))
+    assert got == ulrich_reference(lat, c1, c2, rank), (lat.describe(), c1, c2, rank)
+    return got
+
+
+def c2_choices(lat, c1, rank, rng):
+    """c2 at the (2.2) target where it is integral, and around it."""
+    if rank == 1:
+        return [0]
+    floor = math.floor(c2_reference(lat, c1, rank))
+    return [floor - 1, floor, floor + 1, rng.randint(-50, 50)]
+
+
+def random_gram_lattice(rng):
+    while True:
+        rank = rng.randint(1, 4)
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        h = [rng.randint(-2, 2) for _ in range(rank)]
+        if sum(h[i] * gram[i][j] * h[j] for i in range(rank) for j in range(rank)) > 0:
+            return IntersectionLattice(
+                rank=rank,
+                basis_labels=tuple(f"e{i}" for i in range(rank)),
+                gram=tuple(map(tuple, gram)),
+                h=DivisorClass(h),
+                k=DivisorClass([rng.randint(-3, 3) for _ in range(rank)]),
+                chi=rng.randint(-3, 5),
+            )
+
+
+def preset_lattices():
+    return [delpezzo_lattice(d) for d in range(1, 10)] + [
+        k3_024_lattice(),
+        p1xp1_lattice(),
+        rank1_bidouble_lattice((2, 2, 2)),
+        rank1_bidouble_lattice((2, 4, 6)),
+        rank1_bidouble_lattice((0, 2, 4)),
+    ]
+
+
+def test_check_numerical_ulrich_matches_fraction_reference():
+    # Random integral c1 on every preset and on random Gram matrices, rank
+    # 1-3, with c2 at the (2.2) target and off it.
+    rng = random.Random(2018)
+    lattices = preset_lattices() + [random_gram_lattice(rng) for _ in range(60)]
+    outcomes = set()
+    for lat in lattices:
+        for _ in range(25):
+            c1 = DivisorClass([rng.randint(-6, 6) for _ in range(lat.rank)])
+            for rank in (1, 2, 3):
+                for c2 in c2_choices(lat, c1, rank, rng):
+                    outcomes.add(assert_matches_reference(lat, c1, c2, rank))
+        # c1 on the (2.1) hyperplane wherever H is primitive enough to reach it
+        for rank in (1, 2, 3):
+            for c1 in itertools.product(range(-3, 4), repeat=min(lat.rank, 3)):
+                c1 = DivisorClass(c1 + (0,) * (lat.rank - len(c1)))
+                if 2 * pair(lat, c1, lat.h) == rank * pair(lat, 3 * lat.h + lat.k, lat.h):
+                    for c2 in c2_choices(lat, c1, rank, rng):
+                        outcomes.add(assert_matches_reference(lat, c1, c2, rank))
+    assert outcomes == {True, False}
+
+
+def test_check_numerical_ulrich_true_cases_match_reference():
+    holds = {}
+    for lat in preset_lattices():
+        # Every class of a small box is a hit of some ``search lattice`` query.
+        bound = 3
+        while (2 * bound + 1) ** lat.rank > 3000:
+            bound -= 1
+        for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
+            assert_matches_reference(lat, DivisorClass(coords), 0, 1)
+        # The hits of the rank-1 Ulrich query are the true cases.  K is a
+        # rational multiple of H on every preset, so c1.K follows from c1.H.
+        h_sq, h_k = pair(lat, lat.h, lat.h), pair(lat, lat.k, lat.h)
+        degree = Fraction(3 * h_sq + h_k, 2)
+        selfint = degree * h_k / h_sq + 2 * (h_sq - lat.chi)
+        hits = []
+        if degree.denominator == 1 and selfint.denominator == 1:
+            hits = brute_force_search(lat, 3, int(degree), int(selfint))
+        for d in hits:
+            assert assert_matches_reference(lat, d, 0, 1), (lat.describe(), d)
+        holds[lat.describe()] = len(hits)
+    assert holds["k3_024"] > 0
+    assert holds["p1xp1"] == 2  # O(1,0) and O(0,1)
+    assert holds[delpezzo_lattice(4).describe()] > 0
+    # c1 = mH, c2 = M on the rank-1 sublattice of every even cover
+    for t in even_triples(30):
+        lat = rank1_bidouble_lattice(t)
+        targets = special_ulrich_targets(t)
+        c1 = DivisorClass((targets.c1_coefficient,))
+        assert assert_matches_reference(lat, c1, targets.c2, 2), t.as_tuple()
+        assert not assert_matches_reference(lat, c1, targets.c2 + 1, 2), t.as_tuple()
 
 
 def test_special_ulrich_targets():
@@ -175,7 +282,7 @@ def test_rank1_degree_equation_to_40():
     # (3H + K).H / 2 evaluates to n1 + n2 + n3 on the rank-1 sublattice
     for t in even_triples(40):
         lat = rank1_bidouble_lattice(t)
-        assert pair_q(lat, 3 * lat.h + lat.k, lat.h) / 2 == t.n
+        assert pair(lat, 3 * lat.h + lat.k, lat.h) == 2 * t.n
 
 
 def test_odd_rank_obstruction_examples():
