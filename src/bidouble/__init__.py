@@ -52,7 +52,6 @@ from .lattice import (
 )
 from .numerics import (
     FeasibilityVerdict,
-    SpecialTargets,
     TraceStep,
     UlrichCandidate,
     check_numerical_ulrich,
@@ -87,7 +86,6 @@ __all__ = [
     "PicardClassification",
     "Report",
     "ShapeError",
-    "SpecialTargets",
     "SurfaceInvariants",
     "TraceStep",
     "UlrichCandidate",

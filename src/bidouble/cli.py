@@ -29,7 +29,7 @@ from .classify import classify_triple
 from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError
 from .geometry import BranchTriple, validate_triple
-from .lattice import brute_force_search, preset_lattice
+from .lattice import arithmetic_genus, brute_force_search, pair, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
     UlrichCandidate,
@@ -424,11 +424,11 @@ def cmd_search_lattice(args) -> int:
     hits = brute_force_search(lat, bound, args.degree, args.selfint)
     described = []
     for d in hits:
-        genus = lat.genus(d)
+        genus = arithmetic_genus(lat, d)
         entry = {
             "coords": list(d.coords),
-            "degree": lat.pair(d, lat.h),
-            "selfint": lat.pair(d, d),
+            "degree": pair(lat, d, lat.h),
+            "selfint": pair(lat, d, d),
             "genus": int(genus) if genus.denominator == 1 else str(genus),
         }
         if lat.chi is not None:

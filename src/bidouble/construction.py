@@ -123,7 +123,7 @@ def verify_recipe(t, recipe: CBRecipe) -> Report:
     """
     t = validate_triple(t)
     targets = special_ulrich_targets(t)
-    m, big_m = targets.c1_coefficient, targets.c2
+    m, big_m = targets.m, targets.big_m
     lines = [
         CheckLine(
             label="recipe matches triple",

@@ -214,10 +214,6 @@ class IntermediatePicard:
     cite: str
 
 
-# The four unordered pairs whose double plane has rho(Y) > 1 (Thm. 1.1).
-_JUMP_PAIRS = frozenset({(0, 2), (0, 4), (1, 3), (2, 2)})
-
-
 def intermediate_picard(a: int, b: int) -> IntermediatePicard:
     """rho of the double plane branched along general curves of degrees a, b.
 

@@ -20,12 +20,12 @@ Presets encode the lattices the classification arguments run on:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, ShapeError
+from .geometry import invariants, validate_triple
 
 __all__ = [
     "DivisorClass",
@@ -132,13 +132,6 @@ class IntersectionLattice:
     def describe(self) -> str:
         return self.name or f"rank-{self.rank} lattice"
 
-    # Convenience method forms; the module-level functions are the API.
-    def pair(self, d1: DivisorClass, d2: DivisorClass) -> int:
-        return pair(self, d1, d2)
-
-    def genus(self, d: DivisorClass) -> Fraction:
-        return arithmetic_genus(self, d)
-
 
 def _check_length(lat: IntersectionLattice, d: DivisorClass) -> None:
     if len(d) != lat.rank:
@@ -172,22 +165,19 @@ def rank1_bidouble_lattice(triple) -> IntersectionLattice:
     integer multiple of H, so the parity bookkeeping runs symbolically in
     the feasibility searches instead of through a lattice.
     """
-    from .geometry import validate_triple, invariants  # cycle-free: geometry never imports lattice
-
     t = validate_triple(triple)
     if not t.is_even:
         raise DomainError(
             f"rank1_bidouble preset needs an even triple; K is not an integer "
             f"multiple of H for {t.as_tuple()}"
         )
-    m = t.n // 2
     inv = invariants(t)
     return IntersectionLattice(
         rank=1,
         basis_labels=("H",),
         gram=((4,),),
         h=DivisorClass((1,)),
-        k=DivisorClass((m - 3,)),
+        k=DivisorClass((inv.m - 3,)),
         chi=inv.chi,
         name=f"rank1_bidouble{t.as_tuple()}",
     )
@@ -208,6 +198,8 @@ def p1xp1_lattice() -> IntersectionLattice:
 
 def delpezzo_lattice(degree: int) -> IntersectionLattice:
     """Blow-up-of-the-plane lattice of a degree-d del Pezzo, 1 <= d <= 9."""
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise DomainError(f"del Pezzo degree must be an integer, got {degree!r}")
     if not 1 <= degree <= 9:
         raise DomainError(f"del Pezzo degree must be in 1..9, got {degree}")
     points = 9 - degree
@@ -260,7 +252,8 @@ PRESET_NAMES = ("rank1_bidouble", "p1xp1", "delpezzo", "k3_024")
 def preset_lattice(name: str, *params) -> IntersectionLattice:
     """Dispatch on preset id: rank1_bidouble(n1,n2,n3), p1xp1, delpezzo(d), k3_024.
 
-    Also accepts the compact spelling ``delpezzoN`` used by the CLI.
+    Also accepts the compact spelling ``delpezzoN`` used by the CLI, N in
+    ASCII digits.
     """
     if name == "rank1_bidouble":
         if len(params) == 1:
@@ -275,32 +268,26 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
     if name == "delpezzo":
         if len(params) != 1:
             raise DomainError("delpezzo takes exactly one parameter, the degree")
-        return delpezzo_lattice(int(params[0]))
+        return delpezzo_lattice(params[0])
     if name == "k3_024":
         if params:
             raise DomainError("k3_024 takes no parameters")
         return k3_024_lattice()
-    if name.startswith("delpezzo") and name[len("delpezzo"):].isdigit() and not params:
-        return delpezzo_lattice(int(name[len("delpezzo"):]))
+    suffix = name[len("delpezzo"):]
+    if name.startswith("delpezzo") and suffix.isascii() and suffix.isdigit() and not params:
+        digits = suffix.lstrip("0") or "0"
+        # A two-digit degree is named in the range message; longer ones are
+        # refused unparsed.
+        if len(digits) > 2:
+            raise DomainError(
+                f"del Pezzo degree must be in 1..9, got a number of {len(digits)} digits"
+            )
+        return delpezzo_lattice(int(digits))
     raise DomainError(f"unknown lattice preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
 # Boxes beyond this total are refused outright rather than ground through.
 _CELL_CAP = 10**8
-
-
-def _search_python(lat, bound, degree_target, selfint_target):
-    # Reference scan of every cell of the box; the tests hold the pruned
-    # search to its result, order included.
-    out = []
-    gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in lat.gram]
-    for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
-        if sum(c * v for c, v in zip(coords, gh)) != degree_target:
-            continue
-        gd = [sum(g * c for g, c in zip(row, coords)) for row in lat.gram]
-        if sum(c * v for c, v in zip(coords, gd)) == selfint_target:
-            out.append(DivisorClass(coords))
-    return out
 
 
 def _search_pruned(lat, bound, degree_target, selfint_target):

@@ -44,7 +44,7 @@ from .citations import (
     THM_RANK_TWO,
 )
 from .errors import ConsistencyError, DomainError
-from .geometry import invariants, validate_triple
+from .geometry import SurfaceInvariants, invariants, validate_triple
 from .lattice import (
     _CELL_CAP,
     DivisorClass,
@@ -59,7 +59,6 @@ __all__ = [
     "TraceStep",
     "FeasibilityVerdict",
     "check_numerical_ulrich",
-    "SpecialTargets",
     "special_ulrich_targets",
     "odd_rank_obstruction",
     "rank1_rho1_search",
@@ -146,18 +145,11 @@ def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> b
     )
 
 
-@dataclass(frozen=True)
-class SpecialTargets:
-    """Forced Chern numbers of a rank-2 special Ulrich bundle: c1 = mH
-    numerically, c2 = M."""
-
-    c1_coefficient: int
-    c2: int
-
-
-def special_ulrich_targets(t) -> SpecialTargets:
-    """(m, M) for an even triple, with M checked along two independent
-    routes that must agree:
+def special_ulrich_targets(t) -> SurfaceInvariants:
+    """The invariants of an even triple, carrying the forced Chern numbers
+    c1 = mH (numerically) and c2 = M of a rank-2 special Ulrich bundle as
+    ``m`` and ``big_m``, with M checked along two independent routes that
+    must agree:
 
         route 1:  M = m^2 + m1^2 + m2^2 + m3^2     (``invariants``)
         route 2:  2M = 5 H^2 + 3 H.K + 4 chi
@@ -176,7 +168,7 @@ def special_ulrich_targets(t) -> SpecialTargets:
             f"special c2 mismatch on {t.as_tuple()}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
             f"vs 5 H^2 + 3 H.K + 4 chi = {route2} ({COR_SPECIAL})"
         )
-    return SpecialTargets(c1_coefficient=inv.m, c2=inv.big_m)
+    return inv
 
 
 def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
@@ -397,15 +389,15 @@ def verify_024_certificate() -> Report:
     fprime = gamma1 - e2
 
     numbers = (
-        ("D.H", lat.pair(d, h), 6),
-        ("D.D", lat.pair(d, d), 4),
-        ("F.F", lat.pair(f, f), -4),
-        ("H.F", lat.pair(h, f), 2),
-        ("F.E1'", lat.pair(f, e1), -1),
-        ("F'.F'", lat.pair(fprime, fprime), -4),
-        ("H.F'", lat.pair(h, fprime), 0),
-        ("H.E1'", lat.pair(h, e1), 2),
-        ("H.E2'", lat.pair(h, e2), 2),
+        ("D.H", pair(lat, d, h), 6),
+        ("D.D", pair(lat, d, d), 4),
+        ("F.F", pair(lat, f, f), -4),
+        ("H.F", pair(lat, h, f), 2),
+        ("F.E1'", pair(lat, f, e1), -1),
+        ("F'.F'", pair(lat, fprime, fprime), -4),
+        ("H.F'", pair(lat, h, fprime), 0),
+        ("H.E1'", pair(lat, h, e1), 2),
+        ("H.E2'", pair(lat, h, e2), 2),
     )
     lines = [
         CheckLine(

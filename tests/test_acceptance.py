@@ -249,7 +249,7 @@ def test_criterion_08_recipe_identities():
         assert report.passed, t
         targets = special_ulrich_targets(t)
         assert recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == t.m, t
-        assert recipe.z_count == recipe.big_m == targets.c2, t
+        assert recipe.z_count == recipe.big_m == targets.big_m, t
         assert recipe.deg_cprime >= 1, t
         assert recipe.big_m > 4 * (t.m - 1), t
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -13,7 +15,8 @@ import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
 from bidouble.errors import ConsistencyError
 
-DATA = pathlib.Path(__file__).parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 GOLDEN_MAX4_CSV = """\
 n1,n2,n3,parity,k_squared,chi,rho_gt_1,line_bundle,uc_kind,uc_value,recipe_deg_c,recipe_deg_cprime,z_count
@@ -465,6 +468,29 @@ def test_search_lattice_rejects_stray_triple(capsys):
     assert "only applies to rank1_bidouble" in err
 
 
+@pytest.mark.parametrize(
+    "preset, needle",
+    [
+        ("delpezzo\u00b2", "unknown lattice preset"),
+        ("delpezzo\u0664", "unknown lattice preset"),
+        ("delpezzo" + "1" * 5000, "got a number of 5000 digits"),
+        ("delpezzo0", "del Pezzo degree must be in 1..9, got 0"),
+        ("delpezzo10", "del Pezzo degree must be in 1..9, got 10"),
+    ],
+    ids=["superscript", "arabic_indic", "5000_digits", "zero", "ten"],
+)
+def test_search_lattice_bad_delpezzo_degree(preset, needle, capsys):
+    argv = ["search", "lattice", "--preset", preset, "--degree", "4", "--selfint", "2",
+            "--bound", "1"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert needle in err
+    assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+
+
 def test_search_rejects_csv():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "p1xp1", "--n", "3", "--format", "csv"])
@@ -567,3 +593,55 @@ def test_second_routes_exit_3(patch, argv, needle, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("internal consistency failure:")
     assert needle in err
+
+
+# sha256 of `batch --max-degree 30` stdout (1480 rows), one per format.
+BATCH_MAX30_SHA256 = {
+    "csv": "f8955f712c77c144778906d0767f10bbcbfffea510458c322a6fddeb876580a4",
+    "json": "207f61d6a9a51e63cf93d3c1e1cbebee3e8a3bb3e9b5ae62c9907fe2a9b975b8",
+    "text": "f42d1b9559d4d17c65c8a15154e3e3e24dbef9bddae963bfcf3a529256db9786",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BATCH_MAX30_SHA256))
+def test_batch_max30_bytes(fmt, capsys):
+    code, out, err = run(["batch", "--max-degree", "30", "--format", fmt], capsys)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_MAX30_SHA256[fmt]
+
+
+def load_traced_cli():
+    spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "bench" / "traced_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "2", "4", "6"], ["batch", "--max-degree", "6", "--format", "csv"]],
+    ids=["classify", "batch"],
+)
+def test_traced_harness_binds_every_name(argv, tmp_path):
+    # The benchmark's traced runs wrap these functions by name; a rename or
+    # deletion must fail here, not in the benchmark.
+    traced = load_traced_cli().TRACED
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    spans = tmp_path / "spans.bin"
+    traced_run = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(spans), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    plain_run = subprocess.run(
+        [sys.executable, "-m", "bidouble.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert traced_run.returncode == plain_run.returncode == 0, traced_run.stderr
+    assert traced_run.stdout == plain_run.stdout
+    with open(spans, "rb") as f:
+        bindings = json.loads(f.readline())["bindings"]
+    expected = {f"{module}.{name}" for module, names in traced.items() for name in names}
+    assert len(expected) == 17
+    assert set(bindings) == expected
+    assert all(count >= 1 for count in bindings.values()), bindings

@@ -100,8 +100,8 @@ def test_recipe_invariants_to_60():
         r = special_rank2_recipe(t)
         targets = special_ulrich_targets(t)
         assert r.big_m % 2 == 0
-        assert r.z_count == targets.c2
-        assert r.deg_e1 + r.deg_c - r.deg_cprime == targets.c1_coefficient
+        assert r.z_count == targets.big_m
+        assert r.deg_e1 + r.deg_c - r.deg_cprime == targets.m
         assert r.deg_cprime >= 1
         assert r.deg_c >= r.m
         assert (r.deg_cprime == 1) == (r.deg_c == r.m)

@@ -16,8 +16,21 @@ from bidouble.lattice import (
     pair,
     preset_lattice,
     rank1_bidouble_lattice,
-    _search_python,
 )
+
+
+def full_scan(lat, bound, degree_target, selfint_target):
+    # Reference scan of every cell of the box; the pruned search is held to
+    # its result, order included.
+    out = []
+    gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in lat.gram]
+    for coords in itertools.product(range(-bound, bound + 1), repeat=lat.rank):
+        if sum(c * v for c, v in zip(coords, gh)) != degree_target:
+            continue
+        gd = [sum(g * c for g, c in zip(row, coords)) for row in lat.gram]
+        if sum(c * v for c, v in zip(coords, gd)) == selfint_target:
+            out.append(DivisorClass(coords))
+    return out
 
 
 def exact_det(gram):
@@ -182,6 +195,34 @@ def test_preset_dispatch():
         preset_lattice("delpezzo")
 
 
+def test_delpezzo_degree_is_an_int():
+    # Nothing is truncated or parsed: the degree is an int or a DomainError.
+    for degree in (4.5, 4.0, "4", True, None):
+        with pytest.raises(DomainError, match="must be an integer"):
+            delpezzo_lattice(degree)
+    for degree in (4.9, "4", True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            preset_lattice("delpezzo", degree)
+
+
+def test_delpezzo_compact_spelling():
+    assert preset_lattice("delpezzo9").rank == 1
+    assert preset_lattice("delpezzo04").name == "delpezzo4"
+    for name, value in (("delpezzo0", "0"), ("delpezzo10", "10"), ("delpezzo00", "0")):
+        with pytest.raises(DomainError, match=f"must be in 1..9, got {value}$"):
+            preset_lattice(name)
+    # ASCII digits only; other Unicode digits name no preset.
+    for name in ("delpezzo\u00b2", "delpezzo\u0664", "delpezzo\uff14", "delpezzo-4", "delpezzo 4"):
+        with pytest.raises(DomainError, match="unknown lattice preset"):
+            preset_lattice(name)
+    # A long digit string is refused by its length, never converted.
+    with pytest.raises(DomainError, match="got a number of 5000 digits") as info:
+        preset_lattice("delpezzo" + "1" * 5000)
+    assert len(str(info.value)) < 200
+    with pytest.raises(DomainError):
+        preset_lattice("delpezzo4", 4)
+
+
 def test_presets_nondegenerate():
     # None of the preset Gram forms has a kernel, so numerical equivalence
     # is coordinate equality on them.
@@ -214,7 +255,7 @@ def test_genus_fraction():
 
 def assert_matches_full_scan(lat, bound, deg, self_int):
     hits = brute_force_search(lat, bound, deg, self_int)
-    assert hits == _search_python(lat, bound, deg, self_int), (
+    assert hits == full_scan(lat, bound, deg, self_int), (
         lat.describe(), bound, deg, self_int)
     return hits
 

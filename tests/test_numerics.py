@@ -96,7 +96,7 @@ def test_check_numerical_ulrich_rank2_special():
         lat = rank1_bidouble_lattice(t)
         targets = special_ulrich_targets(t)
         cand = UlrichCandidate(
-            DivisorClass((targets.c1_coefficient,)), targets.c2, 2
+            DivisorClass((targets.m,)), targets.big_m, 2
         )
         assert check_numerical_ulrich(lat, cand), t.as_tuple()
 
@@ -252,20 +252,20 @@ def test_check_numerical_ulrich_true_cases_match_reference():
     for t in even_triples(30):
         lat = rank1_bidouble_lattice(t)
         targets = special_ulrich_targets(t)
-        c1 = DivisorClass((targets.c1_coefficient,))
-        assert assert_matches_reference(lat, c1, targets.c2, 2), t.as_tuple()
-        assert not assert_matches_reference(lat, c1, targets.c2 + 1, 2), t.as_tuple()
+        c1 = DivisorClass((targets.m,))
+        assert assert_matches_reference(lat, c1, targets.big_m, 2), t.as_tuple()
+        assert not assert_matches_reference(lat, c1, targets.big_m + 1, 2), t.as_tuple()
 
 
 def test_special_ulrich_targets():
     t = special_ulrich_targets((2, 2, 2))
-    assert (t.c1_coefficient, t.c2) == (3, 12)
+    assert (t.m, t.big_m) == (3, 12)
     t = special_ulrich_targets((0, 2, 4))
-    assert (t.c1_coefficient, t.c2) == (3, 14)
+    assert (t.m, t.big_m) == (3, 14)
     t = special_ulrich_targets((0, 4, 4))
-    assert (t.c1_coefficient, t.c2) == (4, 24)
+    assert (t.m, t.big_m) == (4, 24)
     t = special_ulrich_targets((2, 4, 6))
-    assert (t.c1_coefficient, t.c2) == (6, 50)
+    assert (t.m, t.big_m) == (6, 50)
     with pytest.raises(DomainError):
         special_ulrich_targets((1, 1, 3))
 
@@ -274,8 +274,8 @@ def test_special_ulrich_double_route_to_60():
     for t in even_triples(60):
         targets = special_ulrich_targets(t)
         m1, m2, m3 = t.halves
-        assert targets.c1_coefficient == t.m
-        assert targets.c2 == t.m**2 + m1**2 + m2**2 + m3**2
+        assert targets.m == t.m
+        assert targets.big_m == t.m**2 + m1**2 + m2**2 + m3**2
 
 
 def test_rank1_degree_equation_to_40():
@@ -412,8 +412,8 @@ def test_targets_are_fraction_free():
     # route 2 uses rational arithmetic internally but the result is integral
     for t in even_triples(20):
         targets = special_ulrich_targets(t)
-        assert isinstance(targets.c2, int)
-        assert not isinstance(targets.c2, Fraction)
+        assert isinstance(targets.big_m, int)
+        assert not isinstance(targets.big_m, Fraction)
 
 
 # Each second route still fires: break one side and the check must raise.
