@@ -17,11 +17,15 @@ and the complexity uc(S, H) follows: uc = 1 where a line bundle exists,
 1 <= uc <= 2 where that is open, uc = 2 on the other even covers, and
 only uc > 1 on odd covers.
 
-Every "impossible" verdict is re-derived on the spot by the matching
-argument in ``numerics``, and every upper bound uc <= 2 is witnessed by
-the recipe.  Existence is never concluded from numerics alone: the two
-"exists" cases rest on certified constructions.  ``line_bundle_status``
-and ``ulrich_complexity`` are views of the record.
+Every "impossible" verdict is re-derived on the spot by the checks of
+the matching argument in ``numerics``, and every upper bound uc <= 2 is
+witnessed by the recipe and its checks.  They all read the one
+``SurfaceInvariants`` record of the row and build no trace or report
+text (only the one-row (0,2,4) certificate keeps its report); ``search``
+and library callers get that text from the public functions.  Existence
+is never concluded from numerics alone: the two "exists" cases rest on
+certified constructions.  ``line_bundle_status`` and
+``ulrich_complexity`` are views of the record.
 """
 
 from __future__ import annotations
@@ -41,17 +45,18 @@ from .citations import (
     THM_PICARD,
     THM_RANK_TWO,
 )
-from .construction import CBRecipe, special_rank2_recipe, verify_recipe
+from .construction import CBRecipe, _build_recipe, _check_recipe
 from .errors import ConsistencyError, DomainError
 from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
 from .geometry import invariants, picard_classification, validate_triple
 from .lattice import brute_force_search, delpezzo_lattice
 from .numerics import (
     UlrichCandidate,
+    _check_q1,
+    _check_quadric,
+    _check_special_c2,
+    _parity_product,
     check_numerical_ulrich,
-    odd_rank_obstruction,
-    p1xp1_line_search,
-    rank1_rho1_search,
     verify_024_certificate,
 )
 
@@ -140,15 +145,17 @@ def _require(condition: bool, message: str) -> None:
         raise ConsistencyError(message)
 
 
-def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus:
+def _line_bundle(
+    t: BranchTriple, inv: SurfaceInvariants, pic: PicardClassification
+) -> LineBundleStatus:
     """Does the cover admit an Ulrich line bundle for the pulled-back
-    polarization?  Each branch re-runs the argument that decides it."""
+    polarization?  Each branch re-runs the checks of the argument that
+    decides it."""
     n1, n2, n3 = t.as_tuple()
 
     if not t.is_even:
-        verdict = odd_rank_obstruction(t, 1)
         _require(
-            verdict.status == "infeasible_parity",
+            _parity_product(t.n, 1) % 2 == 1,
             f"parity obstruction failed to fire on odd triple {t.as_tuple()} ({LEM_ODD_RANK})",
         )
         return LineBundleStatus(
@@ -180,7 +187,7 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
         quadric_n = n3 // 2
         # Every real root has 0 <= a, b <= 2(n + 1), so this box is exhaustive;
         # the scan raises ConsistencyError if it finds what the discriminant excludes.
-        p1xp1_line_search(quadric_n, bound=2 * (quadric_n + 1))
+        _check_quadric(quadric_n, 2 * (quadric_n + 1))
         return LineBundleStatus(
             status="impossible",
             reason=f"a line bundle would descend to the quadric with a + b = "
@@ -199,7 +206,7 @@ def _line_bundle(t: BranchTriple, pic: PicardClassification) -> LineBundleStatus
             citations=(THM_LINE_RANGE, REM_OPEN),
         )
 
-    rank1_rho1_search(t)  # raises ConsistencyError if the q = 1 identity fails
+    _check_q1(t, inv)  # the rank-1 elimination's second route
     return LineBundleStatus(
         status="impossible",
         reason=f"the cover has Picard number one ({THM_PICARD}) and the rank-1 "
@@ -240,8 +247,9 @@ class Classification:
 def classify_triple(t) -> Classification:
     """Classify one triple in a single pass; see the module docstring."""
     t = validate_triple(t)
+    inv = invariants(t)
     pic = picard_classification(t)
-    lb = _line_bundle(t, pic)
+    lb = _line_bundle(t, inv, pic)
     expected = "exists" if in_t2(t) else "open" if in_t1(t) else "impossible"
     _require(
         lb.status == expected,
@@ -250,9 +258,10 @@ def classify_triple(t) -> Classification:
     )
     recipe = None
     if t.is_even and t.as_tuple() != (0, 2, 2):  # (0,2,2) has m = 2 < 3
-        recipe = special_rank2_recipe(t)
-        verify_recipe(t, recipe)  # raises ConsistencyError on any failed check
-    return Classification(t, invariants(t), pic, lb, _complexity(t, lb, recipe), recipe)
+        recipe = _build_recipe(t, inv)
+        _check_special_c2(t, inv)
+        _check_recipe(t, recipe, inv)
+    return Classification(t, inv, pic, lb, _complexity(t, lb, recipe), recipe)
 
 
 def line_bundle_status(t) -> LineBundleStatus:

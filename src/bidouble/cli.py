@@ -23,6 +23,7 @@ import io
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .citations import PROP_INVARIANTS, PROP_LOW_DEGREE, THM_RANK_TWO, canonical_order
 from .classify import classify_triple
@@ -179,6 +180,99 @@ def _recipe_payload(r: CBRecipe) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# JSON rendering of query payloads
+#
+# json.dumps(..., indent=2) falls back to the stdlib's pure-Python encoder.
+# The payload schema is fixed, so one template per payload writes the same
+# bytes, with strings escaped by the stdlib's C encoder (ensure_ascii).
+
+
+def _json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return str(value)
+
+
+def _json_strings(items: list, indent: str) -> str:
+    if not items:
+        return "[]"
+    sep = f",\n{indent}  "
+    return f"[\n{indent}  {sep.join(map(encode_basestring_ascii, items))}\n{indent}]"
+
+
+def _json_witnesses(witnesses: list) -> str:
+    if not witnesses:
+        return "[]"
+    items = ",\n".join(
+        f'      {{\n        "pair": [\n          {w["pair"][0]},\n          {w["pair"][1]}\n'
+        f'        ],\n        "rho": {w["rho"]},\n'
+        f'        "cite": {encode_basestring_ascii(w["cite"])}\n      }}'
+        for w in witnesses
+    )
+    return f"[\n{items}\n    ]"
+
+
+def _json_recipe(r: dict | None) -> str:
+    if r is None:
+        return "null"
+    return (
+        f'{{\n    "m": {r["m"]},\n    "big_m": {r["big_m"]},\n'
+        f'    "residue": {r["residue"]},\n    "deg_e1": {r["deg_e1"]},\n'
+        f'    "deg_c": {r["deg_c"]},\n    "deg_cprime": {r["deg_cprime"]},\n'
+        f'    "z_count": {r["z_count"]},\n'
+        f'    "tangency_note": {_json_scalar(r["tangency_note"])}\n  }}'
+    )
+
+
+def render_query_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)`` for a ``query_payload`` dict."""
+    t, inv, pic = payload["triple"], payload["invariants"], payload["picard"]
+    lb, uc = payload["line_bundle"], payload["complexity"]
+    bounds = uc["bounds"]
+    bounds_json = (
+        "null"
+        if bounds is None
+        else f'{{\n      "low": {bounds["low"]},\n'
+        f'      "high": {_json_scalar(bounds["high"])}\n    }}'
+    )
+    return (
+        f'{{\n  "triple": {{\n    "n1": {t["n1"]},\n    "n2": {t["n2"]},\n'
+        f'    "n3": {t["n3"]},\n    "parity": {encode_basestring_ascii(t["parity"])}\n  }},\n'
+        f'  "generic": {_json_scalar(payload["generic"])},\n'
+        f'  "invariants": {{\n    "k_squared": {inv["k_squared"]},\n'
+        f'    "chi": {inv["chi"]},\n    "h_squared": {inv["h_squared"]},\n'
+        f'    "h_dot_k": {inv["h_dot_k"]},\n    "q": {inv["q"]},\n    "n": {inv["n"]},\n'
+        f'    "m": {_json_scalar(inv["m"])},\n    "big_m": {_json_scalar(inv["big_m"])}\n  }},\n'
+        f'  "picard": {{\n    "rho_is_one": {_json_scalar(pic["rho_is_one"])},\n'
+        f'    "family": {_json_scalar(pic["family"])},\n'
+        f'    "witnesses": {_json_witnesses(pic["witnesses"])}\n  }},\n'
+        f'  "line_bundle": {{\n    "status": {encode_basestring_ascii(lb["status"])},\n'
+        f'    "reason": {encode_basestring_ascii(lb["reason"])},\n'
+        f'    "citations": {_json_strings(lb["citations"], "    ")}\n  }},\n'
+        f'  "complexity": {{\n    "kind": {encode_basestring_ascii(uc["kind"])},\n'
+        f'    "value": {_json_scalar(uc["value"])},\n    "bounds": {bounds_json},\n'
+        f'    "trail": {_json_strings(uc["trail"], "    ")}\n  }},\n'
+        f'  "recipe": {_json_recipe(payload["recipe"])},\n'
+        f'  "recipe_note": {_json_scalar(payload["recipe_note"])},\n'
+        f'  "citations": {_json_strings(payload["citations"], "  ")}\n}}'
+    )
+
+
+def render_batch_json(payloads: list[dict]) -> str:
+    """``json.dumps(payloads, indent=2)`` for a list of ``query_payload`` dicts."""
+    if not payloads:
+        return "[]"
+    rows = ",\n  ".join(render_query_json(p).replace("\n", "\n  ") for p in payloads)
+    return f"[\n  {rows}\n]"
+
+
 def uc_value_text(complexity: dict) -> str:
     if complexity["kind"] == "exact":
         return str(complexity["value"])
@@ -321,7 +415,7 @@ def cmd_classify(args) -> int:
     t = validate_triple((args.n1, args.n2, args.n3))
     payload = query_payload(t)
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(render_query_json(payload))
     elif args.format == "csv":
         print(_csv_text([payload]), end="")
     else:
@@ -354,14 +448,14 @@ def cmd_batch(args) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as stream:
                 triples, diagnostics = parse_triples_file(stream)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
             return 2
     else:
         triples = enumerate_triples(args.max_degree)
     payloads = [query_payload(t) for t in triples]
     if args.format == "json":
-        print(json.dumps(payloads, indent=2))
+        print(render_batch_json(payloads))
     elif args.format == "csv":
         print(_csv_text(payloads), end="")
     else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .citations import COR_SPECIAL, THM_CB, THM_RANK_TWO
 from .errors import ConsistencyError, DomainError, ExcludedCaseError
-from .geometry import invariants, validate_triple
+from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .numerics import special_ulrich_targets
 from .reports import CheckLine, Report
 
@@ -81,8 +81,11 @@ def special_rank2_recipe(t) -> CBRecipe:
             f"branch degrees (0,2,2) have m = 2 and are excluded from the rank-two "
             f"recipe; every other even triple has m >= 3 ({THM_RANK_TWO})"
         )
+    return _build_recipe(t, invariants(t))
+
+
+def _build_recipe(t: BranchTriple, inv: SurfaceInvariants) -> CBRecipe:
     # M = m^2 + sum m_i^2; verify_recipe checks it against the second route.
-    inv = invariants(t)
     m, big_m = inv.m, inv.big_m
     if m < 3:
         raise ConsistencyError(
@@ -114,94 +117,79 @@ def special_rank2_recipe(t) -> CBRecipe:
     )
 
 
+# Label and citation of each verified line, in report order.
+_RECIPE_CHECKS = (
+    ("recipe matches triple", THM_RANK_TWO),
+    ("c1 coefficient", THM_RANK_TWO),
+    ("c2 count", COR_SPECIAL),
+    ("block count identity", THM_RANK_TWO),
+    ("deg C' positive", THM_RANK_TWO),
+    ("deg C >= m", THM_RANK_TWO),
+    ("vanishing inequalities", THM_RANK_TWO),
+)
+
+
+def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> None:
+    # The verified lines of ``verify_recipe``, in _RECIPE_CHECKS order.
+    m, big_m = inv.m, inv.big_m
+    blocks = 4 * recipe.deg_c if recipe.residue == 0 else 4 * (recipe.deg_c - 1) + 2
+    oks = (
+        recipe.m == m and recipe.big_m == big_m,
+        recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == m,
+        recipe.z_count == big_m,
+        blocks == recipe.big_m,
+        recipe.deg_cprime >= 1,
+        recipe.deg_c >= m,
+        3 * recipe.big_m >= 4 * m * m and recipe.big_m > 4 * (m - 1),
+    )
+    if not all(oks):
+        failed = ", ".join(label for (label, _), ok in zip(_RECIPE_CHECKS, oks) if not ok)
+        raise ConsistencyError(
+            f"recipe verification failed on {t.as_tuple()}: {failed} ({THM_RANK_TWO})"
+        )
+
+
 def verify_recipe(t, recipe: CBRecipe) -> Report:
     """Recheck every numerical identity of the recipe against the triple.
 
     The c2 comparison is independent: z_count comes from the block count,
     the target from the Chern-number formula.  Any failed line raises
-    ConsistencyError naming the check, since the identities are theorems.
+    ConsistencyError naming the check, since the identities are theorems,
+    so a returned report has passed every line.
     """
     t = validate_triple(t)
     targets = special_ulrich_targets(t)
+    _check_recipe(t, recipe, targets)
     m, big_m = targets.m, targets.big_m
+    details = (
+        f"recipe (m = {recipe.m}, M = {recipe.big_m}) vs targets (m = {m}, M = {big_m})",
+        f"deg E1 + deg C - deg C' = {recipe.deg_e1} + {recipe.deg_c} - "
+        f"{recipe.deg_cprime} = {recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime}, "
+        f"so c1 = {m}H matches 3H + K numerically",
+        f"z_count = {recipe.z_count} equals the target c2 = {big_m}, "
+        f"computed independently from the Chern-number formula",
+        f"4 * deg C = {4 * recipe.deg_c} = M"
+        if recipe.residue == 0
+        else f"4 * (deg C - 1) + 2 = {4 * (recipe.deg_c - 1) + 2} = M",
+        f"deg C' = {recipe.deg_cprime} >= 1",
+        f"deg C = {recipe.deg_c} >= m = {m}",
+        f"3M = {3 * recipe.big_m} >= 4m^2 = {4 * m * m} and "
+        f"M = {recipe.big_m} > 4(m - 1) = {4 * (m - 1)}",
+    )
     lines = [
-        CheckLine(
-            label="recipe matches triple",
-            detail=f"recipe (m = {recipe.m}, M = {recipe.big_m}) vs targets "
-            f"(m = {m}, M = {big_m})",
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=recipe.m == m and recipe.big_m == big_m,
-        ),
-        CheckLine(
-            label="c1 coefficient",
-            detail=f"deg E1 + deg C - deg C' = {recipe.deg_e1} + {recipe.deg_c} - "
-            f"{recipe.deg_cprime} = {recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime}, "
-            f"so c1 = {m}H matches 3H + K numerically",
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == m,
-        ),
-        CheckLine(
-            label="c2 count",
-            detail=f"z_count = {recipe.z_count} equals the target c2 = {big_m}, "
-            f"computed independently from the Chern-number formula",
-            mode="verified",
-            cite=COR_SPECIAL,
-            ok=recipe.z_count == big_m,
-        ),
-        CheckLine(
-            label="block count identity",
-            detail=(
-                f"4 * deg C = {4 * recipe.deg_c} = M"
-                if recipe.residue == 0
-                else f"4 * (deg C - 1) + 2 = {4 * (recipe.deg_c - 1) + 2} = M"
-            ),
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=(
-                4 * recipe.deg_c == recipe.big_m
-                if recipe.residue == 0
-                else 4 * (recipe.deg_c - 1) + 2 == recipe.big_m
-            ),
-        ),
-        CheckLine(
-            label="deg C' positive",
-            detail=f"deg C' = {recipe.deg_cprime} >= 1",
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=recipe.deg_cprime >= 1,
-        ),
-        CheckLine(
-            label="deg C >= m",
-            detail=f"deg C = {recipe.deg_c} >= m = {m}",
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=recipe.deg_c >= m,
-        ),
-        CheckLine(
-            label="vanishing inequalities",
-            detail=f"3M = {3 * recipe.big_m} >= 4m^2 = {4 * m * m} and "
-            f"M = {recipe.big_m} > 4(m - 1) = {4 * (m - 1)}",
-            mode="verified",
-            cite=THM_RANK_TWO,
-            ok=3 * recipe.big_m >= 4 * m * m and recipe.big_m > 4 * (m - 1),
-        ),
+        CheckLine(label=label, detail=detail, mode="verified", cite=cite)
+        for (label, cite), detail in zip(_RECIPE_CHECKS, details)
+    ]
+    lines.append(
         CheckLine(
             label="rank-two extension",
             detail="the bundle extension over the ideal sheaf of Z and the section "
             "existence it needs are certified, not recomputed",
             mode="paper-certified",
             cite=THM_CB,
-        ),
-    ]
-    report = Report(
+        )
+    )
+    return Report(
         title=f"rank-two special Ulrich recipe for branch degrees {t.as_tuple()}",
         lines=tuple(lines),
     )
-    if not report.passed:
-        failed = ", ".join(line.label for line in report.lines if not line.ok)
-        raise ConsistencyError(
-            f"recipe verification failed on {t.as_tuple()}: {failed} ({THM_RANK_TWO})"
-        )
-    return report

@@ -253,7 +253,8 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
     """Dispatch on preset id: rank1_bidouble(n1,n2,n3), p1xp1, delpezzo(d), k3_024.
 
     Also accepts the compact spelling ``delpezzoN`` used by the CLI, N in
-    ASCII digits.
+    ASCII digits.  The refusal of an unknown name quotes a short name and
+    gives only the length of a long one.
     """
     if name == "rank1_bidouble":
         if len(params) == 1:
@@ -283,7 +284,10 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
                 f"del Pezzo degree must be in 1..9, got a number of {len(digits)} digits"
             )
         return delpezzo_lattice(int(digits))
-    raise DomainError(f"unknown lattice preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    shown = repr(name)
+    if len(shown.encode()) > 48:  # keep the message one short line
+        shown = f"of {len(name)} characters"
+    raise DomainError(f"unknown lattice preset {shown}; known: {', '.join(PRESET_NAMES)}")
 
 
 # Boxes beyond this total are refused outright rather than ground through.

@@ -26,6 +26,11 @@ eliminations can be audited line by line.  No verdict carries candidates:
 each argument closes every case it covers (n^2 < n^2 + 1 < (n+1)^2 for the
 quadric route), so a surviving candidate could only come from broken
 arithmetic, and the second routes raise ``ConsistencyError`` on it instead.
+
+The arithmetic of each argument, second routes included, lives in one
+private check that takes the ``SurfaceInvariants`` record and raises.  The
+public functions run that check and then build their trace;
+``classify_triple`` runs the checks alone and builds no text.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .citations import (
     THM_RANK_TWO,
 )
 from .errors import ConsistencyError, DomainError
-from .geometry import SurfaceInvariants, invariants, validate_triple
+from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .lattice import (
     _CELL_CAP,
     DivisorClass,
@@ -145,6 +150,16 @@ def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> b
     )
 
 
+def _check_special_c2(t: BranchTriple, inv: SurfaceInvariants) -> None:
+    # Route 2 of ``special_ulrich_targets``: 2M = 5 H^2 + 3 H.K + 4 chi.
+    route2 = 5 * inv.h_squared + 3 * inv.h_dot_k + 4 * inv.chi
+    if 2 * inv.big_m != route2:
+        raise ConsistencyError(
+            f"special c2 mismatch on {t.as_tuple()}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
+            f"vs 5 H^2 + 3 H.K + 4 chi = {route2} ({COR_SPECIAL})"
+        )
+
+
 def special_ulrich_targets(t) -> SurfaceInvariants:
     """The invariants of an even triple, carrying the forced Chern numbers
     c1 = mH (numerically) and c2 = M of a rank-2 special Ulrich bundle as
@@ -162,13 +177,13 @@ def special_ulrich_targets(t) -> SurfaceInvariants:
     if not t.is_even:
         raise DomainError(f"special Ulrich targets need an even triple, got {t.as_tuple()}")
     inv = invariants(t)
-    route2 = 5 * inv.h_squared + 3 * inv.h_dot_k + 4 * inv.chi
-    if 2 * inv.big_m != route2:
-        raise ConsistencyError(
-            f"special c2 mismatch on {t.as_tuple()}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
-            f"vs 5 H^2 + 3 H.K + 4 chi = {route2} ({COR_SPECIAL})"
-        )
+    _check_special_c2(t, inv)
     return inv
+
+
+def _parity_product(n: int, rank: int) -> int:
+    # 2 c1.K = rank * n * (n - 6); the obstruction fires when it is odd.
+    return rank * n * (n - 6)
 
 
 def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
@@ -181,7 +196,7 @@ def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise DomainError(f"rank must be a positive integer, got {rank!r}")
     n = t.n
-    product = rank * n * (n - 6)
+    product = _parity_product(n, rank)
     trace = [
         TraceStep(
             f"Equality (2.1) pairs with K: 2 c1.K = rank * (3H + K).K = rank * n * (n - 6) "
@@ -208,6 +223,20 @@ def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
     return FeasibilityVerdict("not_applicable", tuple(trace))
 
 
+def _check_q1(t: BranchTriple, inv: SurfaceInvariants) -> None:
+    # q = 1: a = n/4 in Equality (2.2), 2a^2 - a(n - 6) - 4 + chi = 0,
+    # times 8 to clear the denominators, must leave n1^2 + n2^2 + n3^2.
+    n1, n2, n3 = t.as_tuple()
+    n = inv.n
+    cleared = n * n - 2 * n * (n - 6) - 32 + 8 * inv.chi
+    sum_sq = n1 * n1 + n2 * n2 + n3 * n3
+    if cleared != sum_sq:
+        raise ConsistencyError(
+            f"q = 1 reduction identity failed on {t.as_tuple()}: "
+            f"n^2 - 2n(n - 6) - 32 + 8 chi = {cleared} != {sum_sq} ({LEM_RHO_ONE})"
+        )
+
+
 def rank1_rho1_search(t) -> FeasibilityVerdict:
     """Replay of the rank-1 elimination on an even cover with rho = 1.
 
@@ -219,9 +248,10 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
     t = validate_triple(t)
     if not t.is_even:
         raise DomainError(f"rank-1 elimination applies to even triples, got {t.as_tuple()}")
+    inv = invariants(t)
+    _check_q1(t, inv)
     n1, n2, n3 = t.as_tuple()
     n = t.n
-    chi = invariants(t).chi
     trace = [
         TraceStep(
             f"write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): "
@@ -235,7 +265,6 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
         ),
     ]
     a2 = n // 2
-    rhs2 = 8 - 2 * chi
     if a2 % 2 == 0:
         trace.append(
             TraceStep(
@@ -248,19 +277,10 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
         trace.append(
             TraceStep(
                 f"q = 2: a = n/2 = {a2}; Equality (2.2) forces a^2 - a(n - 6) = {lhs2} "
-                f"to equal 8 - 2 chi = {rhs2}, an even number, but a^2 - a(n - 6) is "
-                f"congruent to a = {a2} mod 2: contradiction",
+                f"to equal 8 - 2 chi = {8 - 2 * inv.chi}, an even number, but "
+                f"a^2 - a(n - 6) is congruent to a = {a2} mod 2: contradiction",
                 LEM_RHO_ONE,
             )
-        )
-    # q = 1: a = n/4 in Equality (2.2), 2a^2 - a(n - 6) - 4 + chi = 0,
-    # times 8 to clear the denominators.
-    cleared = n * n - 2 * n * (n - 6) - 32 + 8 * chi
-    sum_sq = n1 * n1 + n2 * n2 + n3 * n3
-    if cleared != sum_sq:
-        raise ConsistencyError(
-            f"q = 1 reduction identity failed on {t.as_tuple()}: "
-            f"n^2 - 2n(n - 6) - 32 + 8 chi = {cleared} != {sum_sq} ({LEM_RHO_ONE})"
         )
     a1 = n // 4 if n % 4 == 0 else f"{n // 2}/2"  # n is even
     trace.append(
@@ -272,7 +292,7 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
     )
     trace.append(
         TraceStep(
-            f"n1^2 + n2^2 + n3^2 = {sum_sq} != 0",
+            f"n1^2 + n2^2 + n3^2 = {n1 * n1 + n2 * n2 + n3 * n3} != 0",
             LEM_RHO_ONE,
         )
     )
@@ -299,6 +319,30 @@ def _quadric_box_solutions(n: int, mprime: int, bound: int) -> list[tuple[int, i
     return out
 
 
+def _check_quadric(n: int, bound: int) -> None:
+    # Both routes of ``p1xp1_line_search``: n^2 + 1 is no square, and the
+    # box |a|, |b| <= bound holds no root for m' = 1 or 2.
+    if bound < 0:
+        raise DomainError(f"search bound must be >= 0, got {bound}")
+    if 2 * bound + 1 > _CELL_CAP:
+        raise DomainError(
+            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a, "
+            f"over the cap of {_CELL_CAP}"
+        )
+    if is_perfect_square(n * n + 1):
+        raise ConsistencyError(
+            f"n^2 + 1 = {n * n + 1} tested as a perfect square, but n^2 < n^2 + 1 < "
+            f"(n + 1)^2 for n = {n} ({PROP_QUADRIC})"
+        )
+    box_solutions = _quadric_box_solutions(n, 1, bound) + _quadric_box_solutions(n, 2, bound)
+    if box_solutions:
+        raise ConsistencyError(
+            f"quadric discriminant route leaves no integer root for n = {n}, but the box "
+            f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
+            f"{box_solutions[0]} ({PROP_QUADRIC})"
+        )
+
+
 def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     """Ulrich line bundles O(a,b) on the quadric route for a (0,2,2n) cover.
 
@@ -316,18 +360,7 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
         raise DomainError(f"quadric parameter n must be a positive integer, got {n!r}")
     if bound is None:
         bound = 10 * (n + 1)
-    if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {bound}")
-    if 2 * bound + 1 > _CELL_CAP:
-        raise DomainError(
-            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a, "
-            f"over the cap of {_CELL_CAP}"
-        )
-    if is_perfect_square(n * n + 1):
-        raise ConsistencyError(
-            f"n^2 + 1 = {n * n + 1} tested as a perfect square, but n^2 < n^2 + 1 < "
-            f"(n + 1)^2 for n = {n} ({PROP_QUADRIC})"
-        )
+    _check_quadric(n, bound)
     trace = []
     for mprime in (1, 2):
         trace.append(
@@ -352,22 +385,12 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
                 PROP_QUADRIC,
             )
         )
-    box_solutions = []
-    for mprime in (1, 2):
-        box_solutions.extend(_quadric_box_solutions(n, mprime, bound))
     trace.append(
         TraceStep(
-            f"brute-force cross-check over the box |a|, |b| <= {bound}: "
-            f"{len(box_solutions)} solution(s)",
+            f"brute-force cross-check over the box |a|, |b| <= {bound}: 0 solution(s)",
             PROP_QUADRIC,
         )
     )
-    if box_solutions:
-        raise ConsistencyError(
-            f"quadric discriminant route leaves no integer root for n = {n}, but the box "
-            f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
-            f"{box_solutions[0]} ({PROP_QUADRIC})"
-        )
     return FeasibilityVerdict("infeasible_search", tuple(trace))
 
 

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.construction as construction_module
+import bidouble.geometry as geometry_module
+import bidouble.numerics as numerics_module
 from bidouble.citations import (
     LEM_ODD_RANK,
     LEM_RHO_ONE,
@@ -171,18 +174,42 @@ def test_classification_record():
     assert classify_triple((4, 2, 0)) == classify_triple((0, 2, 4))
 
 
-# Every argument, certificate and cross-check a row can need, at the
-# binding its caller uses.
+# Every check, certificate and cross-check a row can need, at the binding
+# its caller uses.
 SINGLE_PASS = (
     (classify_module, "picard_classification"),
-    (classify_module, "odd_rank_obstruction"),
-    (classify_module, "rank1_rho1_search"),
-    (classify_module, "p1xp1_line_search"),
+    (classify_module, "_parity_product"),
+    (classify_module, "_check_q1"),
+    (classify_module, "_check_quadric"),
     (classify_module, "verify_024_certificate"),
-    (classify_module, "special_rank2_recipe"),
-    (classify_module, "verify_recipe"),
-    (construction_module, "special_ulrich_targets"),
+    (classify_module, "_build_recipe"),
+    (classify_module, "_check_special_c2"),
+    (classify_module, "_check_recipe"),
 )
+
+# The public arguments build trace or report text, which no row prints.
+TEXT_BUILDERS = (
+    numerics_module.odd_rank_obstruction,
+    numerics_module.rank1_rho1_search,
+    numerics_module.p1xp1_line_search,
+    numerics_module.special_ulrich_targets,
+    construction_module.special_rank2_recipe,
+    construction_module.verify_recipe,
+)
+
+
+def count_every_binding(monkeypatch, calls, fn):
+    """Count calls of fn through every name bound to it in the package."""
+
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "bidouble" or mod_name.startswith("bidouble."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
 
 
 def test_each_argument_runs_once_per_row(monkeypatch):
@@ -195,27 +222,32 @@ def test_each_argument_runs_once_per_row(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    count_every_binding(monkeypatch, calls, geometry_module.invariants)
+    for fn in TEXT_BUILDERS:
+        count_every_binding(monkeypatch, calls, fn)
     seen = Counter()
     for t in all_triples(16):
         calls.clear()
         cli.query_payload(t)
+        assert calls["invariants"] == 1, (t.as_tuple(), dict(calls))
         assert max(calls.values(), default=0) <= 1, (t.as_tuple(), dict(calls))
+        assert not {fn.__name__ for fn in TEXT_BUILDERS} & set(calls), (t.as_tuple(), dict(calls))
         seen.update(calls)
     # every wrapper was reached, so the bound above is not vacuous
-    assert set(seen) == {name for _, name in SINGLE_PASS}
+    assert set(seen) == {name for _, name in SINGLE_PASS} | {"invariants"}
 
 
 def test_quadric_box_in_classify_is_exhaustive(monkeypatch):
     # The real roots of 2a^2 - 2m'(n+1)a + m'^2 n lie in [0, m'(n+1)], so
     # classify scans |a|, |b| <= 2(n+1), not the default 10(n+1).
     seen = []
-    real = classify_module.p1xp1_line_search
+    real = classify_module._check_quadric
 
-    def spy(n, bound=None):
+    def spy(n, bound):
         seen.append((n, bound))
-        return real(n, bound=bound)
+        return real(n, bound)
 
-    monkeypatch.setattr(classify_module, "p1xp1_line_search", spy)
+    monkeypatch.setattr(classify_module, "_check_quadric", spy)
     classify_triple((0, 2, 10))
     assert seen == [(5, 12)]
     for n in range(1, 200):

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
@@ -323,6 +324,17 @@ def test_batch_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_batch_input_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 4 6\n\xff\xfe 2 2\n")
+    code, out, err = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}:")
+    assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 + len(str(path))
+
+
 def test_batch_requires_one_source(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["batch"])
@@ -341,6 +353,18 @@ def test_batch_json_roundtrip(capsys):
     payloads = json.loads(out)
     assert len(payloads) == 4
     assert json.dumps(payloads, indent=2) + "\n" == out
+
+
+def test_json_writer_matches_stdlib():
+    payloads = [cli.query_payload(t) for t in cli.enumerate_triples(50)]
+    for payload in payloads:
+        assert cli.render_query_json(payload) == json.dumps(payload, indent=2)
+    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
+    assert cli.render_batch_json([]) == json.dumps([], indent=2)
+    with open(DATA / "triples.txt") as stream:
+        triples, _ = cli.parse_triples_file(stream)
+    payloads = [cli.query_payload(t) for t in triples]
+    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
 
 
 def test_batch_text_table(capsys):
@@ -491,6 +515,26 @@ def test_search_lattice_bad_delpezzo_degree(preset, needle, capsys):
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize(
+    "preset, message",
+    [
+        ("foo", "unknown lattice preset 'foo'; known: "),
+        ("x" * 5000, "unknown lattice preset of 5000 characters; known: "),
+        ("\u00e9" * 40, "unknown lattice preset of 40 characters; known: "),
+    ],
+    ids=["short", "5000_chars", "40_two_byte_chars"],
+)
+def test_search_lattice_unknown_preset(preset, message, capsys):
+    # A short unknown name is quoted; a long one is named by its length.
+    argv = ["search", "lattice", "--preset", preset, "--degree", "4", "--selfint", "2"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+    assert len(err.encode()) < 200
+
+
 def test_search_rejects_csv():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "p1xp1", "--n", "3", "--format", "csv"])
@@ -549,13 +593,19 @@ def test_noether_route_exits_3(monkeypatch, capsys):
     assert "Noether" in err
 
 
-def shift_chi(monkeypatch):
-    real = numerics_module.invariants
-    monkeypatch.setattr(
-        numerics_module,
-        "invariants",
-        lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
-    )
+def shift_chi(module):
+    """Patch that shifts chi on the invariants ``module`` computes: the
+    one record of a ``classify`` row, or the one ``search rho1`` reads."""
+
+    def patch(monkeypatch):
+        real = module.invariants
+        monkeypatch.setattr(
+            module,
+            "invariants",
+            lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
+        )
+
+    return patch
 
 
 @pytest.mark.parametrize(
@@ -573,9 +623,10 @@ def shift_chi(monkeypatch):
             ["search", "p1xp1", "--n", "3"],
             "box",
         ),
-        (shift_chi, ["search", "rho1", "--triple", "2", "4", "6"], "q = 1 reduction"),
-        (shift_chi, ["classify", "2", "4", "6"], "q = 1 reduction"),
-        (shift_chi, ["classify", "0", "4", "4"], "special c2 mismatch"),
+        (shift_chi(numerics_module), ["search", "rho1", "--triple", "2", "4", "6"],
+         "q = 1 reduction"),
+        (shift_chi(classify_module), ["classify", "2", "4", "6"], "q = 1 reduction"),
+        (shift_chi(classify_module), ["classify", "0", "4", "4"], "special c2 mismatch"),
         (
             lambda mp: mp.setattr(
                 numerics_module, "check_numerical_ulrich", lambda lat, cand: False

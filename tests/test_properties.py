@@ -11,7 +11,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bidouble.cli as cli  # noqa: E402
@@ -106,3 +106,23 @@ def test_batch_json_and_csv_agree(triples):
         else:
             assert (row["recipe_deg_c"], row["recipe_deg_cprime"], row["z_count"]) == (
                 str(recipe["deg_c"]), str(recipe["deg_cprime"]), str(recipe["z_count"]))
+
+
+@st.composite
+def large_admissible_triples(draw):
+    parity = draw(st.integers(0, 1))
+    degree = st.one_of(st.integers(0, 20), st.integers(0, 10**300))
+    t = sorted(2 * (draw(degree) // 2) + parity for _ in range(3))
+    # Two zeros disconnect the cover; a large (0,2,2n) would exceed the
+    # quadric box cap, which is tested elsewhere.
+    assume(t[1] > 0 and not (t[:2] == [0, 2] and t[2] > 400))
+    return tuple(t)
+
+
+@SETTINGS
+@given(st.lists(large_admissible_triples(), max_size=3))
+def test_json_writer_matches_stdlib(triples):
+    payloads = [cli.query_payload(t) for t in triples]
+    for payload in payloads:
+        assert cli.render_query_json(payload) == json.dumps(payload, indent=2)
+    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
