@@ -25,12 +25,18 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .citations import PROP_INVARIANTS, PROP_LOW_DEGREE, THM_RANK_TWO, canonical_order
+from .citations import (
+    PROP_INVARIANTS,
+    PROP_LOW_DEGREE,
+    THM_PICARD,
+    THM_RANK_TWO,
+    canonical_order,
+)
 from .classify import classify_triple
 from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError
 from .geometry import BranchTriple, validate_triple
-from .lattice import arithmetic_genus, brute_force_search, pair, preset_lattice
+from .lattice import arithmetic_genus, brute_force_search, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
     UlrichCandidate,
@@ -121,7 +127,7 @@ def query_payload(t) -> dict:
     lb, uc, recipe = c.line_bundle, c.complexity, c.recipe
     recipe_note = EXCLUSION_NOTE if recipe is None and t.is_even else None
 
-    cited = {PROP_INVARIANTS, pic.cite}
+    cited = {PROP_INVARIANTS, THM_PICARD}
     cited.update(w.cite for w in pic.witnesses)
     cited.update(lb.citations)
     cited.update(uc.trail)
@@ -398,13 +404,7 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
             triples.append(validate_triple(degrees))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
-    seen = set()
-    unique = []
-    for t in sorted(triples, key=lambda t: t.as_tuple()):
-        if t.as_tuple() not in seen:
-            seen.add(t.as_tuple())
-            unique.append(t)
-    return unique, diagnostics
+    return sorted(set(triples), key=BranchTriple.as_tuple), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +446,7 @@ def cmd_batch(args) -> int:
     diagnostics: list[str] = []
     if args.input is not None:
         try:
-            with open(args.input, "r", encoding="utf-8") as stream:
+            with open(args.input, "r", encoding="utf-8-sig") as stream:
                 triples, diagnostics = parse_triples_file(stream)
         except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
@@ -514,19 +514,20 @@ def cmd_search_lattice(args) -> int:
         if args.triple is not None:
             raise DomainError(f"--triple only applies to rank1_bidouble, not {args.preset}")
         lat = preset_lattice(args.preset)
-    bound = args.bound if args.bound is not None else 10 * (abs(args.degree) + 1)
+    bound = args.bound if args.bound is not None else 10 * (args.degree + 1)
     hits = brute_force_search(lat, bound, args.degree, args.selfint)
+    # Every hit has the degree and self-intersection searched for, and every
+    # preset carries chi.
     described = []
     for d in hits:
         genus = arithmetic_genus(lat, d)
         entry = {
             "coords": list(d.coords),
-            "degree": pair(lat, d, lat.h),
-            "selfint": pair(lat, d, d),
+            "degree": args.degree,
+            "selfint": args.selfint,
             "genus": int(genus) if genus.denominator == 1 else str(genus),
+            "rank1_ulrich": check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)),
         }
-        if lat.chi is not None:
-            entry["rank1_ulrich"] = check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1))
         described.append(entry)
     if args.format == "json":
         print(
@@ -549,10 +550,10 @@ def cmd_search_lattice(args) -> int:
         )
         print(f"{len(described)} hit(s)")
         for entry in described:
-            extras = f", genus {entry['genus']}"
-            if "rank1_ulrich" in entry:
-                extras += f", rank-1 Ulrich equalities: {entry['rank1_ulrich']}"
-            print(f"  {tuple(entry['coords'])}{extras}")
+            print(
+                f"  {tuple(entry['coords'])}, genus {entry['genus']}, "
+                f"rank-1 Ulrich equalities: {entry['rank1_ulrich']}"
+            )
     return 0
 
 

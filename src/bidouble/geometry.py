@@ -271,7 +271,6 @@ class PicardClassification:
     rho_is_one: bool
     witnesses: tuple[IntermediatePicard, ...]
     family: str | None
-    cite: str = THM_PICARD
 
 
 def picard_classification(triple) -> PicardClassification:

@@ -422,25 +422,28 @@ def verify_024_certificate() -> Report:
         ("H.E1'", pair(lat, h, e1), 2),
         ("H.E2'", pair(lat, h, e2), 2),
     )
+    failed = [label for label, got, want in numbers if got != want]
+    if not check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)):
+        failed.append("Equalities (2.1)-(2.2)")
+    if failed:
+        raise ConsistencyError(
+            f"certificate mismatch on k3_024: {', '.join(failed)} ({PROP_LOW_DEGREE})"
+        )
     lines = [
         CheckLine(
             label=label,
             detail=f"computed {got}, expected {want}",
             mode="verified",
             cite=PROP_LOW_DEGREE,
-            ok=got == want,
         )
         for label, got, want in numbers
     ]
-    ulrich_ok = check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1))
     lines.append(
         CheckLine(
             label="Equalities (2.1)-(2.2)",
-            detail=f"c1 = D, c2 = 0, rank 1 on {lat.describe()} (chi = {lat.chi}): "
-            f"{'satisfied' if ulrich_ok else 'violated'}",
+            detail=f"c1 = D, c2 = 0, rank 1 on {lat.describe()} (chi = {lat.chi}): satisfied",
             mode="verified",
             cite=PROP_NUMERICAL,
-            ok=ulrich_ok,
         )
     )
     lines.append(
@@ -452,13 +455,7 @@ def verify_024_certificate() -> Report:
             cite=PROP_LOW_DEGREE,
         )
     )
-    report = Report(
+    return Report(
         title="Ulrich line bundle certificate for branch degrees (0, 2, 4)",
         lines=tuple(lines),
     )
-    if not report.passed:
-        failed = ", ".join(line.label for line in report.lines if not line.ok)
-        raise ConsistencyError(
-            f"certificate mismatch on k3_024: {failed} ({PROP_LOW_DEGREE})"
-        )
-    return report

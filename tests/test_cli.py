@@ -15,6 +15,8 @@ import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
 from bidouble.errors import ConsistencyError
+from bidouble.lattice import DivisorClass, arithmetic_genus, pair, preset_lattice
+from bidouble.numerics import UlrichCandidate, check_numerical_ulrich
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -335,6 +337,18 @@ def test_batch_input_not_utf8(capsys, tmp_path):
     assert len(err.encode()) < 200 + len(str(path))
 
 
+def test_batch_input_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf2 4 6\n0 2 4\n")
+    code, out, err = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "0,2,4,even,0,2,true,exists,exact,1,4,2,14",
+        "2,4,6,even,36,11,false,impossible,exact,2,13,8,50",
+    ]
+
+
 def test_batch_requires_one_source(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["batch"])
@@ -468,6 +482,59 @@ def test_search_lattice_k3_certificate_class(capsys):
     for h in payload["hits"]:
         assert h["degree"] == 6
         assert h["selfint"] == 4
+
+
+# Per preset: (argv naming it, lattice, bound, [(degree, selfint), ...]).  H
+# itself answers the (H^2, H^2) query; on p1xp1, k3_024 and the del Pezzos the
+# second query is the rank-1 Ulrich degree and self-intersection, so both
+# rank1_ulrich values occur.
+LATTICE_QUERIES = [
+    (["--preset", "p1xp1"], preset_lattice("p1xp1"), 3, [(2, 2), (1, 0)]),
+    (["--preset", "k3_024"], preset_lattice("k3_024"), 2, [(4, 4), (6, 4)]),
+    *(
+        (["--preset", f"delpezzo{d}"], preset_lattice("delpezzo", d), 3, [(d, d), (d, d - 2)])
+        for d in range(1, 10)
+    ),
+    (["--preset", "rank1_bidouble", "--triple", "0", "2", "2"],
+     preset_lattice("rank1_bidouble", (0, 2, 2)), 5, [(4, 4), (8, 16)]),
+    (["--preset", "rank1_bidouble", "--triple", "2", "4", "6"],
+     preset_lattice("rank1_bidouble", (2, 4, 6)), 5, [(4, 4), (12, 36)]),
+]
+
+
+def test_every_preset_carries_chi():
+    assert {lat.name for _, lat, _, _ in LATTICE_QUERIES} >= {
+        "p1xp1", "k3_024", *(f"delpezzo{d}" for d in range(1, 10))
+    }
+    for _, lat, _, _ in LATTICE_QUERIES:
+        assert isinstance(lat.chi, int), lat.name
+
+
+@pytest.mark.parametrize(
+    "preset_argv, lat, bound, queries",
+    LATTICE_QUERIES,
+    ids=[lat.name for _, lat, _, _ in LATTICE_QUERIES],
+)
+def test_search_lattice_hits_match_reference(preset_argv, lat, bound, queries, capsys):
+    # Each hit's degree, self-intersection, genus and Ulrich flag against
+    # pair, arithmetic_genus and check_numerical_ulrich.
+    hits = 0
+    for degree, selfint in queries:
+        argv = ["search", "lattice", *preset_argv, "--degree", str(degree),
+                "--selfint", str(selfint), "--bound", str(bound), "--format", "json"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        for hit in json.loads(out)["hits"]:
+            d = DivisorClass(hit["coords"])
+            genus = arithmetic_genus(lat, d)
+            assert hit["degree"] == pair(lat, d, lat.h) == degree
+            assert hit["selfint"] == pair(lat, d, d) == selfint
+            assert hit["genus"] == (int(genus) if genus.denominator == 1 else str(genus))
+            assert hit["rank1_ulrich"] is check_numerical_ulrich(
+                lat, UlrichCandidate(d, 0, 1)
+            )
+            hits += 1
+    assert hits
 
 
 def test_search_lattice_rejects_stray_triple(capsys):
@@ -634,8 +701,27 @@ def shift_chi(module):
             ["classify", "0", "2", "4"],
             "certificate mismatch",
         ),
+        (
+            # F.E1' pairs F = (1, 0, 1, -1) with E1' = (0, 0, 1, 0) on k3_024.
+            lambda mp: mp.setattr(
+                numerics_module,
+                "pair",
+                lambda lat, d1, d2, real=numerics_module.pair: real(lat, d1, d2)
+                + ((d1.coords, d2.coords) == ((1, 0, 1, -1), (0, 0, 1, 0))),
+            ),
+            ["classify", "0", "2", "4"],
+            "certificate mismatch on k3_024: F.E1' (Prop. 4.6)",
+        ),
     ],
-    ids=["discriminant", "quadric_box", "rho1_q1", "classify_q1", "special_c2", "certificate"],
+    ids=[
+        "discriminant",
+        "quadric_box",
+        "rho1_q1",
+        "classify_q1",
+        "special_c2",
+        "certificate",
+        "certificate_number",
+    ],
 )
 def test_second_routes_exit_3(patch, argv, needle, monkeypatch, capsys):
     patch(monkeypatch)
