@@ -21,17 +21,16 @@ Every "impossible" verdict is re-derived on the spot by the checks of
 the matching argument in ``numerics``, and every upper bound uc <= 2 is
 witnessed by the recipe and its checks.  They all read the one
 ``SurfaceInvariants`` record of the row and build no trace or report
-text (only the one-row (0,2,4) certificate keeps its report); ``search``
-and library callers get that text from the public functions.  Existence
-is never concluded from numerics alone: the two "exists" cases rest on
-certified constructions.  ``line_bundle_status`` and
-``ulrich_complexity`` are views of the record.
+text; ``search`` and library callers get that text from the public
+functions.  Existence is never concluded from numerics alone: the two
+"exists" cases rest on certified classes, stated and checked, never
+searched for.  ``line_bundle_status`` and ``ulrich_complexity`` are
+views of the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .citations import (
     COR_NO_LINE,
@@ -49,15 +48,12 @@ from .construction import CBRecipe, _build_recipe, _check_recipe
 from .errors import ConsistencyError, DomainError
 from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
 from .geometry import invariants, picard_classification, validate_triple
-from .lattice import brute_force_search, delpezzo_lattice
 from .numerics import (
-    UlrichCandidate,
+    _check_certificate,
     _check_q1,
     _check_quadric,
     _check_special_c2,
     _parity_product,
-    check_numerical_ulrich,
-    verify_024_certificate,
 )
 
 __all__ = [
@@ -82,8 +78,6 @@ def in_t2(t) -> bool:
 def in_t1(t) -> bool:
     """Sorted triple lies in T1 = {(0,4,2n): n >= 2} u {(2,2,2n): n >= 1}."""
     n1, n2, n3 = validate_triple(t).as_tuple()
-    if n3 % 2 != 0:
-        return False
     return ((n1, n2) == (0, 4) and n3 >= 4) or ((n1, n2) == (2, 2) and n3 >= 2)
 
 
@@ -125,21 +119,6 @@ class ComplexityVerdict:
             raise DomainError(f"unknown complexity kind {self.kind!r}")
 
 
-@cache
-def _delpezzo4_conic_witness() -> UlrichCandidate:
-    # The (0,2,2) cover is a degree-4 del Pezzo; a conic class with
-    # D.H = 4, D^2 = 2 satisfies both Ulrich equalities at rank 1.
-    lat = delpezzo_lattice(4)
-    hits = brute_force_search(lat, bound=3, degree_target=4, selfint_target=2)
-    for d in hits:
-        cand = UlrichCandidate(d, 0, 1)
-        if check_numerical_ulrich(lat, cand):
-            return cand
-    raise ConsistencyError(
-        f"no rank-1 Ulrich witness found on delpezzo(4) within bound 3 ({PROP_LOW_DEGREE})"
-    )
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConsistencyError(message)
@@ -166,7 +145,7 @@ def _line_bundle(
         )
 
     if t.as_tuple() == (0, 2, 4):
-        verify_024_certificate()  # raises ConsistencyError on any failed number
+        _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
         return LineBundleStatus(
             status="exists",
             reason=f"certified line bundle on the K3-type cover: D = H + Gamma1 + "
@@ -175,7 +154,7 @@ def _line_bundle(
         )
 
     if t.as_tuple() == (0, 2, 2):
-        _delpezzo4_conic_witness()  # raises ConsistencyError if the search finds none
+        _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
         return LineBundleStatus(
             status="exists",
             reason=f"the cover is a degree-4 del Pezzo surface and a conic class "

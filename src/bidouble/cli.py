@@ -18,8 +18,6 @@ a bug, not a user error).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -131,8 +129,6 @@ def query_payload(t) -> dict:
     cited.update(w.cite for w in pic.witnesses)
     cited.update(lb.citations)
     cited.update(uc.trail)
-    if recipe is not None:
-        cited.add(THM_RANK_TWO)
 
     return {
         "triple": {"n1": t.n1, "n2": t.n2, "n3": t.n3, "parity": t.parity},
@@ -424,12 +420,9 @@ def cmd_classify(args) -> int:
 
 
 def _csv_text(payloads: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for payload in payloads:
-        writer.writerow(csv_row(payload))
-    return buffer.getvalue()
+    # No cell holds a comma, quote or newline, so no cell needs quoting.
+    lines = [",".join(CSV_COLUMNS)] + [",".join(csv_row(p)) for p in payloads]
+    return "\n".join(lines + [""])
 
 
 def _batch_table_text(payloads: list[dict]) -> str:

@@ -54,6 +54,7 @@ from .lattice import (
     _CELL_CAP,
     DivisorClass,
     IntersectionLattice,
+    delpezzo_lattice,
     k3_024_lattice,
     pair,
 )
@@ -394,14 +395,18 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     return FeasibilityVerdict("infeasible_search", tuple(trace))
 
 
-def verify_024_certificate() -> Report:
-    """Recompute the intersection numbers behind the (0,2,4) existence proof.
+def _conic_on_delpezzo4():
+    # The (0,2,2) cover is a degree-4 del Pezzo; D = 2L - e1 - e2 is a conic.
+    lat = delpezzo_lattice(4)
+    d = 2 * lat.basis_class("L") - lat.basis_class("e1") - lat.basis_class("e2")
+    return lat, d, (
+        ("D.H", pair(lat, d, lat.h), 4),
+        ("D.D", pair(lat, d, d), 2),
+        ("D.K", pair(lat, d, lat.k), -4),
+    )
 
-    On the k3_024 preset, D = H + Gamma1 + E1' - E2' is the certified
-    Ulrich class; F = D - H and F' = Gamma1 - E2' are the two classes
-    whose non-effectivity the proof needs.  All pairings are recomputed
-    exactly; the h^0 vanishing they feed is recorded, not recomputed.
-    """
+
+def _ulrich_class_on_k3_024():
     lat = k3_024_lattice()
     h = lat.h
     gamma1 = lat.basis_class("Gamma1")
@@ -410,8 +415,7 @@ def verify_024_certificate() -> Report:
     d = h + gamma1 + e1 - e2
     f = d - h
     fprime = gamma1 - e2
-
-    numbers = (
+    return lat, d, (
         ("D.H", pair(lat, d, h), 6),
         ("D.D", pair(lat, d, d), 4),
         ("F.F", pair(lat, f, f), -4),
@@ -422,13 +426,36 @@ def verify_024_certificate() -> Report:
         ("H.E1'", pair(lat, h, e1), 2),
         ("H.E2'", pair(lat, h, e2), 2),
     )
+
+
+# The certified Ulrich line bundles of Prop. 4.6, by sorted branch degrees:
+# each entry gives the lattice, the class D and its (label, got, want) numbers.
+_CERTIFICATES = {(0, 2, 2): _conic_on_delpezzo4, (0, 2, 4): _ulrich_class_on_k3_024}
+
+
+def _check_certificate(cover: tuple[int, int, int]):
+    # Every certificate number must come out as stated, and D must satisfy
+    # Equalities (2.1)-(2.2) at rank 1; returns the lattice and the numbers.
+    lat, d, numbers = _CERTIFICATES[cover]()
     failed = [label for label, got, want in numbers if got != want]
     if not check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)):
         failed.append("Equalities (2.1)-(2.2)")
     if failed:
         raise ConsistencyError(
-            f"certificate mismatch on k3_024: {', '.join(failed)} ({PROP_LOW_DEGREE})"
+            f"certificate mismatch on {lat.describe()}: {', '.join(failed)} ({PROP_LOW_DEGREE})"
         )
+    return lat, numbers
+
+
+def verify_024_certificate() -> Report:
+    """Recompute the intersection numbers behind the (0,2,4) existence proof.
+
+    On the k3_024 preset, D = H + Gamma1 + E1' - E2' is the certified
+    Ulrich class; F = D - H and F' = Gamma1 - E2' are the two classes
+    whose non-effectivity the proof needs.  All pairings are recomputed
+    exactly; the h^0 vanishing they feed is recorded, not recomputed.
+    """
+    lat, numbers = _check_certificate((0, 2, 4))
     lines = [
         CheckLine(
             label=label,

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +184,7 @@ SINGLE_PASS = (
     (classify_module, "_parity_product"),
     (classify_module, "_check_q1"),
     (classify_module, "_check_quadric"),
-    (classify_module, "verify_024_certificate"),
+    (classify_module, "_check_certificate"),
     (classify_module, "_build_recipe"),
     (classify_module, "_check_special_c2"),
     (classify_module, "_check_recipe"),
@@ -195,6 +198,7 @@ TEXT_BUILDERS = (
     numerics_module.special_ulrich_targets,
     construction_module.special_rank2_recipe,
     construction_module.verify_recipe,
+    numerics_module.verify_024_certificate,
 )
 
 
@@ -259,10 +263,41 @@ def test_quadric_box_in_classify_is_exhaustive(monkeypatch):
 
 
 def test_delpezzo_witness_fires(monkeypatch):
-    monkeypatch.setattr(classify_module, "check_numerical_ulrich", lambda lat, cand: False)
-    classify_module._delpezzo4_conic_witness.cache_clear()
-    try:
-        with pytest.raises(ConsistencyError, match="no rank-1 Ulrich witness"):
-            classify_triple((0, 2, 2))
-    finally:
-        classify_module._delpezzo4_conic_witness.cache_clear()
+    monkeypatch.setattr(numerics_module, "check_numerical_ulrich", lambda lat, cand: False)
+    with pytest.raises(
+        ConsistencyError, match=r"certificate mismatch on delpezzo4: Equalities \(2\.1\)-\(2\.2\)"
+    ):
+        classify_triple((0, 2, 2))
+
+
+# Run in a fresh interpreter, so that no cache filled by an earlier test
+# can hide a search.
+NO_SEARCH_SCRIPT = """
+import contextlib, io
+from collections import Counter
+import pytest
+from bidouble import cli, lattice
+from bidouble.classify import classify_triple
+from test_classify import count_every_binding
+
+calls = Counter()
+with pytest.MonkeyPatch.context() as mp:
+    count_every_binding(mp, calls, lattice.brute_force_search)
+    classify_triple((0, 2, 2))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["batch", "--max-degree", "10"]) == 0
+print(calls["brute_force_search"])
+"""
+
+
+def test_rows_run_no_lattice_search():
+    # Both certified covers state their class; no row searches a lattice.
+    tests_dir = Path(__file__).resolve().parent
+    src = tests_dir.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests_dir)])}
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SEARCH_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"

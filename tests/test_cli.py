@@ -712,6 +712,16 @@ def shift_chi(module):
             ["classify", "0", "2", "4"],
             "certificate mismatch on k3_024: F.E1' (Prop. 4.6)",
         ),
+        (
+            lambda mp: mp.setattr(
+                numerics_module,
+                "pair",
+                lambda lat, d1, d2, real=numerics_module.pair: real(lat, d1, d2)
+                + (lat.describe() == "delpezzo4"),
+            ),
+            ["classify", "0", "2", "2"],
+            "certificate mismatch on delpezzo4: D.H, D.D, D.K",
+        ),
     ],
     ids=[
         "discriminant",
@@ -721,6 +731,7 @@ def shift_chi(module):
         "special_c2",
         "certificate",
         "certificate_number",
+        "conic_number",
     ],
 )
 def test_second_routes_exit_3(patch, argv, needle, monkeypatch, capsys):

@@ -244,13 +244,30 @@ def test_genus_fraction():
     assert arithmetic_genus(lat, lat.h) == 3
     e1 = lat.basis_class("E1'")
     assert arithmetic_genus(lat, e1) == 0
-    # odd self-intersection on an odd lattice gives a half-integer
+    # L + H on delpezzo4: D^2 + D.K = 11 - 7 = 4, so the genus is 3
     dp = delpezzo_lattice(4)
     line = DivisorClass((1, 0, 0, 0, 0, 0))
     twisted = line + dp.h
-    assert arithmetic_genus(dp, twisted) == Fraction(
-        2 + pair(dp, twisted, twisted) + pair(dp, twisted, dp.k), 2
+    assert arithmetic_genus(dp, twisted) == 3
+    # where K is not characteristic, D^2 + D.K can be odd: a half-integer
+    odd = IntersectionLattice(
+        rank=1, basis_labels=("H",), gram=((1,),), h=DivisorClass((1,)), k=DivisorClass((0,))
     )
+    assert arithmetic_genus(odd, odd.h) == Fraction(3, 2)
+
+
+def test_preset_canonical_classes_are_characteristic():
+    # D^2 + D.K is even for every D exactly when G_ii + (G K)_i is even for
+    # every i, so no preset class has a fractional genus.
+    presets = [p1xp1_lattice(), k3_024_lattice()]
+    presets += [delpezzo_lattice(d) for d in range(1, 10)]
+    presets += [
+        rank1_bidouble_lattice(t) for t in ((0, 2, 2), (0, 2, 6), (2, 2, 2), (2, 4, 6), (4, 4, 4))
+    ]
+    for lat in presets:
+        for i in range(lat.rank):
+            e = DivisorClass.basis(lat.rank, i)
+            assert (pair(lat, e, e) + pair(lat, e, lat.k)) % 2 == 0, (lat.describe(), i)
 
 
 def assert_matches_full_scan(lat, bound, deg, self_int):

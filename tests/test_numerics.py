@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import bidouble.numerics as numerics_module
+from bidouble.classify import classify_triple
 from bidouble.errors import ConsistencyError, DomainError
 from bidouble.geometry import validate_triple
 from bidouble.lattice import (
@@ -457,7 +458,7 @@ def test_certificate_fires_on_a_failed_number(monkeypatch):
         verify_024_certificate()
 
 
-# The classes each certificate number pairs, in k3_024 coordinates:
+# The classes each certificate number pairs.  In k3_024 coordinates:
 # D = (2, 1, 1, -1), H = (1, 1, 0, 0), F = D - H, F' = Gamma1 - E2'.
 CERTIFICATE_PAIRS = {
     "D.H": ((2, 1, 1, -1), (1, 1, 0, 0)),
@@ -471,20 +472,51 @@ CERTIFICATE_PAIRS = {
     "H.E2'": ((1, 1, 0, 0), (0, 0, 0, 1)),
 }
 
+# In delpezzo4 coordinates: D = 2L - e1 - e2, H = 3L - e1 - ... - e5, K = -H.
+CONIC_PAIRS = {
+    "D.H": ((2, -1, -1, 0, 0, 0), (3, -1, -1, -1, -1, -1)),
+    "D.D": ((2, -1, -1, 0, 0, 0), (2, -1, -1, 0, 0, 0)),
+    "D.K": ((2, -1, -1, 0, 0, 0), (-3, 1, 1, 1, 1, 1)),
+}
 
-@pytest.mark.parametrize("label", sorted(CERTIFICATE_PAIRS))
-def test_certificate_fires_on_each_intersection_number(label, monkeypatch):
-    # One pairing off by one must be named; D.H and D.D also feed the
-    # Ulrich equalities, so those fail with it.
+CERTIFICATE_CASES = [
+    (name, label, pairs[label])
+    for name, pairs in (("k3_024", CERTIFICATE_PAIRS), ("delpezzo4", CONIC_PAIRS))
+    for label in sorted(pairs)
+]
+
+
+@pytest.mark.parametrize(
+    "lattice_name, label, target",
+    CERTIFICATE_CASES,
+    ids=[label if name == "k3_024" else f"{name}:{label}" for name, label, _ in CERTIFICATE_CASES],
+)
+def test_certificate_fires_on_each_intersection_number(lattice_name, label, target, monkeypatch):
+    # One pairing off by one must be named; D.H and D.D (and D.K on
+    # delpezzo4) also feed the Ulrich equalities, so those fail with it.
     real = numerics_module.pair
-    target = CERTIFICATE_PAIRS[label]
 
     def perturbed(lat, d1, d2):
         value = real(lat, d1, d2)
         return value + 1 if (d1.coords, d2.coords) == target else value
 
     monkeypatch.setattr("bidouble.numerics.pair", perturbed)
-    failed = label + (", Equalities (2.1)-(2.2)" if label in ("D.H", "D.D") else "")
-    message = f"certificate mismatch on k3_024: {failed} (Prop. 4.6)"
+    failed = label + (", Equalities (2.1)-(2.2)" if label in ("D.H", "D.D", "D.K") else "")
+    message = f"certificate mismatch on {lattice_name}: {failed} (Prop. 4.6)"
     with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        verify_024_certificate()
+        if lattice_name == "k3_024":
+            verify_024_certificate()
+        else:
+            classify_triple((0, 2, 2))
+
+
+def test_conic_certificate_is_the_search_witness():
+    # The stated (0,2,2) class is the one the delpezzo4 box search finds:
+    # among the hits, and the first of them that satisfies both equalities.
+    lat, d, _ = numerics_module._CERTIFICATES[(0, 2, 2)]()
+    assert lat == delpezzo_lattice(4)
+    assert d == DivisorClass((2, -1, -1, 0, 0, 0))
+    hits = brute_force_search(lat, 3, 4, 2)
+    assert d in hits
+    ulrich = [c for c in hits if check_numerical_ulrich(lat, UlrichCandidate(c, 0, 1))]
+    assert ulrich[0] == d
