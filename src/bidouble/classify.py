@@ -45,7 +45,7 @@ from .citations import (
     THM_RANK_TWO,
 )
 from .construction import CBRecipe, _build_recipe, _check_recipe
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
 from .geometry import invariants, picard_classification, validate_triple
 from .numerics import (
@@ -89,34 +89,16 @@ class LineBundleStatus:
     reason: str
     citations: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.status not in ("exists", "impossible", "open"):
-            raise DomainError(f"unknown line-bundle status {self.status!r}")
-
 
 @dataclass(frozen=True)
 class ComplexityVerdict:
-    """Ulrich complexity: exact value, two-sided bound, or lower bound only."""
+    """Ulrich complexity: ``exact`` (``value`` 1 or 2), ``upper_bound``
+    (``bounds`` (1, 2)) or ``lower_bound_only`` (``bounds`` (2, None))."""
 
     kind: str  # "exact" | "upper_bound" | "lower_bound_only"
     value: int | None
     bounds: tuple[int, int | None] | None
     trail: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.kind == "exact":
-            if self.value not in (1, 2):
-                raise DomainError(f"exact complexity must be 1 or 2, got {self.value}")
-            if self.bounds is not None:
-                raise DomainError("exact verdicts carry no separate bounds")
-        elif self.kind == "upper_bound":
-            if self.value is not None or self.bounds != (1, 2):
-                raise DomainError("upper_bound verdicts carry bounds (1, 2) and no value")
-        elif self.kind == "lower_bound_only":
-            if self.value is not None or self.bounds != (2, None):
-                raise DomainError("lower_bound_only verdicts carry bounds (2, None)")
-        else:
-            raise DomainError(f"unknown complexity kind {self.kind!r}")
 
 
 def _require(condition: bool, message: str) -> None:

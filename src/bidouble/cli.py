@@ -10,15 +10,17 @@ Subcommands:
 
 Formats: ``--format text`` (default), ``json``, and for classify/batch
 ``csv``.  Output is deterministic: fixed field order, rows sorted by
-triple, no timestamps.  Exit codes: 0 success, 2 invalid input, 3 internal
-consistency failure (a cross-check between two routes disagreed, which is
-a bug, not a user error).
+triple, no timestamps.  Exit codes: 0 success, 1 stdout closed before the
+output was written, 2 invalid input, 3 internal consistency failure (a
+cross-check between two routes disagreed, which is a bug, not a user
+error).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -32,7 +34,7 @@ from .citations import (
 )
 from .classify import classify_triple
 from .construction import CBRecipe
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, number_text
 from .geometry import BranchTriple, validate_triple
 from .lattice import arithmetic_genus, brute_force_search, preset_lattice
 from .numerics import (
@@ -358,8 +360,8 @@ def enumerate_triples(max_degree: int) -> list[BranchTriple]:
     one shared parity, so steps of 2, and no second zero after n1 = 0."""
     if max_degree > MAX_ENUMERATED_DEGREE:
         raise DomainError(
-            f"--max-degree {max_degree} is above the ceiling {MAX_ENUMERATED_DEGREE}; "
-            f"pass a list of triples with --input for larger degrees"
+            f"--max-degree {number_text(max_degree)} is above the ceiling "
+            f"{MAX_ENUMERATED_DEGREE}; pass a list of triples with --input for larger degrees"
         )
     return [
         BranchTriple(n1, n2, n3)
@@ -692,7 +694,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader left: what is still buffered goes to the null device,
+        # so the flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

@@ -5,7 +5,24 @@ us a triple, a lattice, or a search request that violates a precondition.
 ConsistencyError is different in kind: it means two independent computation
 routes that must agree did not, i.e. an implementation bug, never a user
 error.  The CLI maps DomainError to exit code 2 and ConsistencyError to 3.
+Messages quote numbers through ``number_text``, which names a number of
+more than 30 digits by its digit count, so that a huge input ends in one
+short line.
 """
+
+from math import log10
+
+SHOWN_LIMIT = 10**30  # numbers from here on are named by their digit count
+
+
+def number_text(value: int) -> str:
+    """``value`` in decimal, or ``<a number of N digits>`` past 30 digits."""
+    size = abs(value)
+    if size < SHOWN_LIMIT:
+        return str(value)
+    exponent = int(log10(size))  # the float can be one off near a power of ten
+    exponent += (size >= 10 ** (exponent + 1)) - (size < 10**exponent)
+    return f"<a number of {exponent + 1} digits>"
 
 
 class DomainError(ValueError):

@@ -97,19 +97,6 @@ class BranchTriple:
     def n(self) -> int:
         return self.n1 + self.n2 + self.n3
 
-    @property
-    def m(self) -> int:
-        """Half the total degree; only meaningful in the even case."""
-        if not self.is_even:
-            raise DomainError(f"m = n/2 needs an even triple, got {self.as_tuple()}")
-        return self.n // 2
-
-    @property
-    def halves(self) -> tuple[int, int, int]:
-        if not self.is_even:
-            raise DomainError(f"halves need an even triple, got {self.as_tuple()}")
-        return (self.n1 // 2, self.n2 // 2, self.n3 // 2)
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n1, self.n2, self.n3)
 
@@ -183,13 +170,11 @@ def invariants(triple) -> SurfaceInvariants:
             f"Noether's formula fails on {t.as_tuple()}: 12 chi = {12 * chi}, but "
             f"K^2 + e = {k_squared} + {euler} = {k_squared + euler} ({PROP_INVARIANTS})"
         )
+    m = big_m = None
     if t.is_even:
-        m = t.m
-        m1, m2, m3 = t.halves
+        m = n // 2
+        m1, m2, m3 = n1 // 2, n2 // 2, n3 // 2
         big_m = m * m + m1 * m1 + m2 * m2 + m3 * m3
-    else:
-        m = None
-        big_m = None
     return SurfaceInvariants(
         k_squared=k_squared,
         chi=chi,
@@ -267,7 +252,6 @@ def picard_jump_family(triple) -> str | None:
 class PicardClassification:
     """rho(S) = 1 verdict with the intermediate covers that break it."""
 
-    triple: tuple[int, int, int]
     rho_is_one: bool
     witnesses: tuple[IntermediatePicard, ...]
     family: str | None
@@ -296,7 +280,6 @@ def picard_classification(triple) -> PicardClassification:
             f"({THM_PICARD}) disagree on {t.as_tuple()}"
         )
     return PicardClassification(
-        triple=t.as_tuple(),
         rho_is_one=rho_is_one,
         witnesses=tuple(witnesses),
         family=family,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, ShapeError
+from .errors import SHOWN_LIMIT, DomainError, ShapeError, number_text
 from .geometry import invariants, validate_triple
 
 __all__ = [
@@ -428,10 +428,17 @@ def brute_force_search(
     """
     if bound < 0:
         raise DomainError(f"search bound must be >= 0, got {bound}")
-    cells = (2 * bound + 1) ** lat.rank
-    if cells > _CELL_CAP:
+    side = 2 * bound + 1
+    # The side is compared first, and a side too long to show is never
+    # raised to the rank: the message then counts the cells from below.
+    if side > _CELL_CAP or side ** lat.rank > _CELL_CAP:
+        cells = (
+            number_text(side ** lat.rank)
+            if side < SHOWN_LIMIT
+            else f"at least {number_text(side)}"
+        )
         raise DomainError(
-            f"search box has {cells} cells at rank {lat.rank}, bound {bound}; "
+            f"search box has {cells} cells at rank {lat.rank}, bound {number_text(bound)}; "
             f"the cap is {_CELL_CAP}, pass a smaller bound"
         )
     return _search_pruned(lat, bound, degree_target, selfint_target)

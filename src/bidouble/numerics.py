@@ -48,7 +48,7 @@ from .citations import (
     REM_NORM,
     THM_RANK_TWO,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, number_text
 from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .lattice import (
     _CELL_CAP,
@@ -71,7 +71,6 @@ __all__ = [
     "p1xp1_line_search",
     "is_perfect_square",
     "verify_024_certificate",
-    "VERDICT_STATUSES",
 ]
 
 
@@ -101,9 +100,6 @@ class TraceStep:
         return f"{self.step} [{self.cite}]"
 
 
-VERDICT_STATUSES = ("infeasible_parity", "infeasible_search", "not_applicable")
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     """Outcome of one elimination argument.
@@ -114,12 +110,8 @@ class FeasibilityVerdict:
     cases it covers, and a failed cross-check raises instead.
     """
 
-    status: str
+    status: str  # "infeasible_parity" | "infeasible_search" | "not_applicable"
     trace: tuple[TraceStep, ...]
-
-    def __post_init__(self):
-        if self.status not in VERDICT_STATUSES:
-            raise DomainError(f"unknown verdict status {self.status!r}")
 
     def render(self) -> str:
         lines = [step.render() for step in self.trace]
@@ -327,7 +319,8 @@ def _check_quadric(n: int, bound: int) -> None:
         raise DomainError(f"search bound must be >= 0, got {bound}")
     if 2 * bound + 1 > _CELL_CAP:
         raise DomainError(
-            f"quadric box scan at bound {bound} has {2 * bound + 1} values of a, "
+            f"quadric box scan at bound {number_text(bound)} has "
+            f"{number_text(2 * bound + 1)} values of a, "
             f"over the cap of {_CELL_CAP}"
         )
     if is_perfect_square(n * n + 1):

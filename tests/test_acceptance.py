@@ -239,16 +239,16 @@ def test_criterion_07_delpezzo_witness():
 
 
 def test_criterion_08_recipe_identities():
-    triples = [t for t in even_triples(60) if t.m >= 3]
+    triples = [t for t in even_triples(60) if t.n // 2 >= 3]
     start = time.perf_counter()
     for t in triples:
         recipe = special_rank2_recipe(t)
         verify_recipe(t, recipe)
         targets = special_ulrich_targets(t)
-        assert recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == t.m, t
+        assert recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == t.n // 2, t
         assert recipe.z_count == recipe.big_m == targets.big_m, t
         assert recipe.deg_cprime >= 1, t
-        assert recipe.big_m > 4 * (t.m - 1), t
+        assert recipe.big_m > 4 * (t.n // 2 - 1), t
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     print(
@@ -332,7 +332,7 @@ def test_criterion_10b_exhaustive_parity_and_chi():
     evens = even_triples(60)
     for t in evens:
         inv = invariants(t)
-        m1, m2, m3 = t.halves
+        m1, m2, m3 = (d // 2 for d in t)
         expansion = 2 * (
             m1 * m1 + m2 * m2 + m3 * m3 + m1 * m2 + m1 * m3 + m2 * m3
         )

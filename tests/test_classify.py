@@ -21,8 +21,6 @@ from bidouble.citations import (
     THM_RANK_TWO,
 )
 from bidouble.classify import (
-    ComplexityVerdict,
-    LineBundleStatus,
     classify_triple,
     in_t1,
     in_t2,
@@ -96,11 +94,6 @@ def test_line_bundle_citations():
     assert lb.reason
 
 
-def test_line_bundle_status_validation():
-    with pytest.raises(DomainError):
-        LineBundleStatus("maybe", "reason", ())
-
-
 def test_complexity_matrix():
     cases = {
         (1, 1, 1): ("lower_bound_only", None, (2, None)),
@@ -129,19 +122,6 @@ def test_complexity_trails():
     assert LEM_ODD_RANK in ulrich_complexity((1, 1, 1)).trail
 
 
-def test_complexity_verdict_validation():
-    with pytest.raises(DomainError):
-        ComplexityVerdict("exact", 3, None, ())
-    with pytest.raises(DomainError):
-        ComplexityVerdict("exact", 2, (1, 2), ())
-    with pytest.raises(DomainError):
-        ComplexityVerdict("upper_bound", None, (1, 3), ())
-    with pytest.raises(DomainError):
-        ComplexityVerdict("lower_bound_only", None, (1, None), ())
-    with pytest.raises(DomainError):
-        ComplexityVerdict("mystery", None, None, ())
-
-
 def test_consistency_triangle_to_24():
     for t in all_triples(24):
         lb = line_bundle_status(t)
@@ -167,7 +147,6 @@ def test_classification_record():
     for t in all_triples(16):
         c = classify_triple(t)
         assert c.triple == t
-        assert c.picard.triple == t.as_tuple()
         assert c.invariants.n == t.n
         assert c.line_bundle == line_bundle_status(t)
         assert c.complexity == ulrich_complexity(t)

@@ -14,7 +14,7 @@ import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
-from bidouble.errors import ConsistencyError
+from bidouble.errors import ConsistencyError, number_text
 from bidouble.lattice import DivisorClass, arithmetic_genus, pair, preset_lattice
 from bidouble.numerics import UlrichCandidate, check_numerical_ulrich
 
@@ -130,6 +130,14 @@ def test_classify_text(capsys):
     assert "uc = >=2 (lower_bound_only)" in out
 
 
+def test_classify_text_rho_one(capsys):
+    code, out, _ = run(["classify", "2", "4", "6"], capsys)
+    assert code == 0
+    assert out.splitlines()[2] == (
+        "picard: rho(S) = 1 (every intermediate double plane has rho = 1)"
+    )
+
+
 def test_classify_rejects_bad_triples(capsys):
     code, _, err = run(["classify", "1", "2", "3"], capsys)
     assert code == 2
@@ -202,6 +210,78 @@ def test_oversized_number_argument(argv, capsys):
     assert f"ceiling is {cli.MAX_DIGITS} digits" in err
     assert "Traceback" not in err
     assert len(err.splitlines()[-1]) < 200
+
+
+def test_number_text_names_long_numbers_by_digit_count():
+    assert number_text(10**30 - 1) == "9" * 30
+    assert number_text(-(10**30 - 1)) == "-" + "9" * 30
+    for digits in range(31, 400):
+        # Either side of each power of ten, where log10 can round either way.
+        assert number_text(10 ** (digits - 1)) == f"<a number of {digits} digits>"
+        assert number_text(10**digits - 1) == f"<a number of {digits} digits>"
+    # Past Python's int-to-str limit, the count still comes out exact.
+    assert number_text(10**5000) == "<a number of 5001 digits>"
+
+
+NINES = "9" * 1000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "lattice", "--preset", "delpezzo1", "--degree", "1", "--selfint", "1",
+         "--bound", NINES[:479]],
+        ["search", "lattice", "--preset", "delpezzo4", "--degree", NINES[:999], "--selfint", "1"],
+        ["search", "lattice", "--preset", "k3_024", "--degree", "1", "--selfint", "1",
+         "--bound", NINES],
+        ["search", "p1xp1", "--n", "5", "--bound", NINES],
+        ["classify", "0", "2", NINES[:999] + "8"],
+        ["batch", "--max-degree", NINES],
+    ],
+    ids=["lattice_bound", "lattice_default_bound", "lattice_bound_k3", "p1xp1_bound",
+         "classify_quadric", "batch_max_degree"],
+)
+def test_oversized_value_refused_in_one_short_line(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "bidouble.cli", *argv],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.startswith(b"error:")
+    assert result.stderr.count(b"\n") == 1
+    assert len(result.stderr) < 200
+    assert b"digits>" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "0", "2", "200000000"],
+         "quadric box scan at bound 200000002 has 400000005 values of a, "
+         "over the cap of 100000000"),
+        (["search", "lattice", "--preset", "delpezzo1", "--degree", "3", "--selfint", "1",
+          "--bound", "10"],
+         "search box has 794280046581 cells at rank 9, bound 10; "
+         "the cap is 100000000, pass a smaller bound"),
+        (["search", "lattice", "--preset", "p1xp1", "--degree", "2", "--selfint", "0",
+          "--bound", "1000000000"],
+         "search box has 4000000004000000001 cells at rank 2, bound 1000000000; "
+         "the cap is 100000000, pass a smaller bound"),
+        # A side past 30 digits is never raised to the rank: the message
+        # bounds the cell count by the side.
+        (["search", "lattice", "--preset", "delpezzo1", "--degree", "1", "--selfint", "1",
+          "--bound", NINES[:479]],
+         "search box has at least <a number of 480 digits> cells at rank 9, "
+         "bound <a number of 479 digits>; the cap is 100000000, pass a smaller bound"),
+    ],
+    ids=["classify_quadric", "lattice_rank9", "lattice_side_over_cap", "lattice_long_side"],
+)
+def test_refusal_message_bytes(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -320,6 +400,28 @@ def test_cli_import_leaves_numpy_out():
     assert result.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "2", "4", "6"], ["batch", "--max-degree", "6", "--format", "json"]],
+    ids=["classify", "batch"],
+)
+def test_closed_stdout_ends_quietly(argv, unbuffered):
+    # stdout is a pipe whose reader is gone before the CLI writes a byte.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "bidouble.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b""
+
+
 def test_batch_missing_file(capsys):
     code, _, err = run(["batch", "--input", str(DATA / "nope.txt")], capsys)
     assert code == 2
@@ -403,6 +505,16 @@ def test_search_rho1_json(capsys):
     assert {s["cite"] for s in verdict["trace"]} <= ALL_LABELS
 
 
+def test_search_rho1_text(capsys):
+    code, out, _ = run(["search", "rho1", "--triple", "2", "4", "6"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 9
+    assert lines[:2] == ["search: rho1", "triple: [2, 4, 6]"]
+    assert lines[-1] == "verdict: infeasible_search"
+    assert all(line.endswith(" [Lemma 4.2]") for line in lines[2:-1])
+
+
 def test_search_rho1_rejects_odd(capsys):
     code, _, err = run(["search", "rho1", "--triple", "1", "1", "3"], capsys)
     assert code == 2
@@ -419,6 +531,33 @@ def test_search_p1xp1_json(capsys):
     assert payload["verdict"]["candidates"] == []
     steps = [s["step"] for s in payload["verdict"]["trace"]]
     assert any("discriminant" in s for s in steps)
+
+
+def test_search_p1xp1_text(capsys):
+    code, out, _ = run(["search", "p1xp1", "--n", "3"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "bound: 40" in lines
+    assert (
+        "brute-force cross-check over the box |a|, |b| <= 40: 0 solution(s) [Prop. 4.4]"
+        in lines
+    )
+
+
+def test_search_lattice_text(capsys):
+    code, out, _ = run(
+        ["search", "lattice", "--preset", "delpezzo4", "--degree", "4", "--selfint", "2",
+         "--bound", "3"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 32
+    assert lines[:3] == [
+        "lattice search on delpezzo4: box bound 3, degree 4, self-intersection 2",
+        "30 hit(s)",
+        "  (2, -1, -1, 0, 0, 0), genus 0, rank-1 Ulrich equalities: True",
+    ]
 
 
 def test_search_lattice_rank1_needs_triple(capsys):

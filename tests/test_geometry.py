@@ -46,15 +46,11 @@ def test_triple_properties():
     assert t.parity == "even"
     assert t.is_even
     assert t.n == 12
-    assert t.m == 6
-    assert t.halves == (1, 2, 3)
+    assert (invariants(t).m, invariants(t).big_m) == (6, 36 + 1 + 4 + 9)
     odd = validate_triple((1, 1, 3))
     assert odd.parity == "odd"
     assert odd.n == 5
-    with pytest.raises(DomainError):
-        odd.m
-    with pytest.raises(DomainError):
-        odd.halves
+    assert invariants(odd).m is None and invariants(odd).big_m is None
 
 
 def test_invariants_even_examples():

@@ -22,8 +22,6 @@ from bidouble.lattice import (
     rank1_bidouble_lattice,
 )
 from bidouble.numerics import (
-    FeasibilityVerdict,
-    TraceStep,
     UlrichCandidate,
     check_numerical_ulrich,
     is_perfect_square,
@@ -61,14 +59,6 @@ def test_candidate_validation():
     with pytest.raises(DomainError):
         UlrichCandidate(DivisorClass((1,)), "0", 2)
     UlrichCandidate(DivisorClass((1,)), 5, 2)
-
-
-def test_verdict_validation():
-    step = TraceStep("s", "Lemma 4.1")
-    with pytest.raises(DomainError):
-        FeasibilityVerdict("bogus", (step,))
-    with pytest.raises(DomainError):
-        FeasibilityVerdict("feasible_candidates", (step,))
 
 
 def test_check_numerical_ulrich_k3_witness():
@@ -274,9 +264,9 @@ def test_special_ulrich_targets():
 def test_special_ulrich_double_route_to_60():
     for t in even_triples(60):
         targets = special_ulrich_targets(t)
-        m1, m2, m3 = t.halves
-        assert targets.m == t.m
-        assert targets.big_m == t.m**2 + m1**2 + m2**2 + m3**2
+        m, (m1, m2, m3) = t.n // 2, (d // 2 for d in t)
+        assert targets.m == m
+        assert targets.big_m == m**2 + m1**2 + m2**2 + m3**2
 
 
 def test_rank1_degree_equation_to_40():
