@@ -1,6 +1,6 @@
 """Top-level verdicts, one pass per triple: ``classify_triple``.
 
-``classify_triple(t)`` fills a frozen ``Classification`` record, computing
+``classify_triple(t)`` fills one ``Classification`` record, computing
 each fact once.  After the invariants and the Picard verdict, the line
 bundles are decided on the sorted triple:
 
@@ -30,7 +30,7 @@ views of the record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .citations import (
     COR_NO_LINE,
@@ -44,8 +44,8 @@ from .citations import (
     THM_PICARD,
     THM_RANK_TWO,
 )
-from .construction import CBRecipe, _build_recipe, _check_recipe
-from .errors import ConsistencyError
+from .construction import _build_recipe, _check_recipe
+from .errors import ConsistencyError, tuple_text
 from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
 from .geometry import invariants, picard_classification, validate_triple
 from .numerics import (
@@ -72,33 +72,27 @@ _T2 = ((0, 2, 2), (0, 2, 4))
 
 def in_t2(t) -> bool:
     """Sorted triple lies in T2 = {(0,2,2), (0,2,4)}: certified uc = 1."""
-    return validate_triple(t).as_tuple() in _T2
+    return validate_triple(t) in _T2
 
 
 def in_t1(t) -> bool:
     """Sorted triple lies in T1 = {(0,4,2n): n >= 2} u {(2,2,2n): n >= 1}."""
-    n1, n2, n3 = validate_triple(t).as_tuple()
+    n1, n2, n3 = validate_triple(t)
     return ((n1, n2) == (0, 4) and n3 >= 4) or ((n1, n2) == (2, 2) and n3 >= 2)
 
 
-@dataclass(frozen=True)
-class LineBundleStatus:
-    """Existence verdict for Ulrich line bundles, with its justification."""
+class LineBundleStatus(namedtuple("LineBundleStatus", "status reason citations")):
+    """Existence verdict for Ulrich line bundles, with its justification:
+    ``status`` is "exists", "impossible" or "open"."""
 
-    status: str  # "exists" | "impossible" | "open"
-    reason: str
-    citations: tuple[str, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComplexityVerdict:
+class ComplexityVerdict(namedtuple("ComplexityVerdict", "kind value bounds trail")):
     """Ulrich complexity: ``exact`` (``value`` 1 or 2), ``upper_bound``
     (``bounds`` (1, 2)) or ``lower_bound_only`` (``bounds`` (2, None))."""
 
-    kind: str  # "exact" | "upper_bound" | "lower_bound_only"
-    value: int | None
-    bounds: tuple[int, int | None] | None
-    trail: tuple[str, ...]
+    __slots__ = ()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -112,12 +106,12 @@ def _line_bundle(
     """Does the cover admit an Ulrich line bundle for the pulled-back
     polarization?  Each branch re-runs the checks of the argument that
     decides it."""
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
 
     if not t.is_even:
         _require(
             _parity_product(t.n, 1) % 2 == 1,
-            f"parity obstruction failed to fire on odd triple {t.as_tuple()} ({LEM_ODD_RANK})",
+            f"parity obstruction failed to fire on odd triple {tuple_text(t)} ({LEM_ODD_RANK})",
         )
         return LineBundleStatus(
             status="impossible",
@@ -126,7 +120,7 @@ def _line_bundle(
             citations=(LEM_ODD_RANK,),
         )
 
-    if t.as_tuple() == (0, 2, 4):
+    if t == (0, 2, 4):
         _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
         return LineBundleStatus(
             status="exists",
@@ -135,7 +129,7 @@ def _line_bundle(
             citations=(PROP_LOW_DEGREE,),
         )
 
-    if t.as_tuple() == (0, 2, 2):
+    if t == (0, 2, 2):
         _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
         return LineBundleStatus(
             status="exists",
@@ -192,17 +186,13 @@ def _complexity(t: BranchTriple, lb: LineBundleStatus, recipe) -> ComplexityVerd
     return ComplexityVerdict("exact", 2, None, trail)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(
+    namedtuple("Classification", "triple invariants picard line_bundle complexity recipe")
+):
     """Every verdict on one triple; ``recipe`` is the verified rank-two
     recipe, or None on odd covers and on (0,2,2), which it excludes."""
 
-    triple: BranchTriple
-    invariants: SurfaceInvariants
-    picard: PicardClassification
-    line_bundle: LineBundleStatus
-    complexity: ComplexityVerdict
-    recipe: CBRecipe | None
+    __slots__ = ()
 
 
 def classify_triple(t) -> Classification:
@@ -214,11 +204,11 @@ def classify_triple(t) -> Classification:
     expected = "exists" if in_t2(t) else "open" if in_t1(t) else "impossible"
     _require(
         lb.status == expected,
-        f"line-bundle verdict {lb.status!r} on {t.as_tuple()} disagrees with the "
+        f"line-bundle verdict {lb.status!r} on {tuple_text(t)} disagrees with the "
         f"closed-form sets T1, T2, which give {expected!r} ({THM_COMPLEXITY})",
     )
     recipe = None
-    if t.is_even and t.as_tuple() != (0, 2, 2):  # (0,2,2) has m = 2 < 3
+    if t.is_even and t != (0, 2, 2):  # (0,2,2) has m = 2 < 3
         recipe = _build_recipe(t, inv)
         _check_special_c2(t, inv)
         _check_recipe(t, recipe, inv)

@@ -402,7 +402,7 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
             triples.append(validate_triple(degrees))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
-    return sorted(set(triples), key=BranchTriple.as_tuple), diagnostics
+    return sorted(set(triples)), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
-        return code
+        try:
+            args = parser.parse_args(argv)  # --help writes, then raises SystemExit
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
     except BrokenPipeError:
         # The reader left: what is still buffered goes to the null device,
         # so the flush at exit has nothing left to fail on.

@@ -22,10 +22,10 @@ recorded as paper-certified, never recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .citations import COR_SPECIAL, THM_CB, THM_RANK_TWO
-from .errors import ConsistencyError, DomainError, ExcludedCaseError
+from .errors import ConsistencyError, DomainError, ExcludedCaseError, tuple_text
 from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .numerics import special_ulrich_targets
 from .reports import CheckLine, Report
@@ -38,32 +38,29 @@ TANGENCY_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CBRecipe:
+class CBRecipe(
+    namedtuple("CBRecipe", "m big_m residue deg_e1 deg_c deg_cprime z_count tangency_note")
+):
     """Degrees and point count of the rank-two construction.
 
     ``big_m`` is the target second Chern number M; ``residue`` is M mod 4,
     which selects between the two block layouts of Z.
     """
 
-    m: int
-    big_m: int
-    residue: int
-    deg_e1: int
-    deg_c: int
-    deg_cprime: int
-    z_count: int
-    tangency_note: str | None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.residue not in (0, 2):
-            raise DomainError(f"residue must be 0 or 2, got {self.residue}")
-        if self.big_m % 4 != self.residue:
-            raise DomainError(f"residue {self.residue} does not match M = {self.big_m} mod 4")
-        if self.deg_e1 != 1:
-            raise DomainError(f"E1 is a line; its degree is 1, got {self.deg_e1}")
-        if (self.tangency_note is not None) != (self.residue == 2):
+    def __new__(cls, m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note):
+        if residue not in (0, 2):
+            raise DomainError(f"residue must be 0 or 2, got {residue}")
+        if big_m % 4 != residue:
+            raise DomainError(f"residue {residue} does not match M = {big_m} mod 4")
+        if deg_e1 != 1:
+            raise DomainError(f"E1 is a line; its degree is 1, got {deg_e1}")
+        if (tangency_note is not None) != (residue == 2):
             raise DomainError("tangency note is present exactly in the residue-2 case")
+        return super().__new__(
+            cls, m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note
+        )
 
 
 def special_rank2_recipe(t) -> CBRecipe:
@@ -75,8 +72,8 @@ def special_rank2_recipe(t) -> CBRecipe:
     """
     t = validate_triple(t)
     if not t.is_even:
-        raise DomainError(f"the rank-two recipe needs an even triple, got {t.as_tuple()}")
-    if t.as_tuple() == (0, 2, 2):
+        raise DomainError(f"the rank-two recipe needs an even triple, got {tuple_text(t)}")
+    if t == (0, 2, 2):
         raise ExcludedCaseError(
             f"branch degrees (0,2,2) have m = 2 and are excluded from the rank-two "
             f"recipe; every other even triple has m >= 3 ({THM_RANK_TWO})"
@@ -89,11 +86,11 @@ def _build_recipe(t: BranchTriple, inv: SurfaceInvariants) -> CBRecipe:
     m, big_m = inv.m, inv.big_m
     if m < 3:
         raise ConsistencyError(
-            f"m = {m} < 3 for a triple other than (0,2,2): {t.as_tuple()} ({THM_RANK_TWO})"
+            f"m = {m} < 3 for a triple other than (0,2,2): {tuple_text(t)} ({THM_RANK_TWO})"
         )
     if big_m % 2 != 0:
         raise ConsistencyError(
-            f"M = {big_m} is odd for {t.as_tuple()}; M = m^2 + sum m_i^2 is always even "
+            f"M = {big_m} is odd for {tuple_text(t)}; M = m^2 + sum m_i^2 is always even "
             f"({THM_RANK_TWO})"
         )
     residue = big_m % 4
@@ -145,7 +142,7 @@ def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> 
     if not all(oks):
         failed = ", ".join(label for (label, _), ok in zip(_RECIPE_CHECKS, oks) if not ok)
         raise ConsistencyError(
-            f"recipe verification failed on {t.as_tuple()}: {failed} ({THM_RANK_TWO})"
+            f"recipe verification failed on {tuple_text(t)}: {failed} ({THM_RANK_TWO})"
         )
 
 

@@ -5,9 +5,9 @@ us a triple, a lattice, or a search request that violates a precondition.
 ConsistencyError is different in kind: it means two independent computation
 routes that must agree did not, i.e. an implementation bug, never a user
 error.  The CLI maps DomainError to exit code 2 and ConsistencyError to 3.
-Messages quote numbers through ``number_text``, which names a number of
-more than 30 digits by its digit count, so that a huge input ends in one
-short line.
+Messages quote numbers through ``number_text``, and triples through
+``tuple_text``, which name a number of more than 30 digits by its digit
+count, so that a huge input ends in one short line.
 """
 
 from math import log10
@@ -23,6 +23,11 @@ def number_text(value: int) -> str:
     exponent = int(log10(size))  # the float can be one off near a power of ten
     exponent += (size >= 10 ** (exponent + 1)) - (size < 10**exponent)
     return f"<a number of {exponent + 1} digits>"
+
+
+def tuple_text(values) -> str:
+    """``values`` written as a tuple, each through ``number_text``."""
+    return f"({', '.join(map(number_text, values))})"
 
 
 class DomainError(ValueError):

@@ -30,7 +30,7 @@ sorted jump families on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .citations import (
     COR_PICARD,
@@ -43,6 +43,7 @@ from .citations import (
     THM_PICARD,
 )
 from .errors import DisconnectedError, DomainError, ConsistencyError, ParityError
+from .errors import number_text, tuple_text
 
 __all__ = [
     "BranchTriple",
@@ -57,33 +58,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BranchTriple:
+class BranchTriple(namedtuple("BranchTriple", "n1 n2 n3")):
     """Sorted, validated branch degrees of a bidouble plane."""
 
-    n1: int
-    n2: int
-    n3: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        degrees = (self.n1, self.n2, self.n3)
+    def __new__(cls, n1, n2, n3):
+        degrees = (n1, n2, n3)
         for d in degrees:
             if not isinstance(d, int) or isinstance(d, bool):
                 raise DomainError(f"branch degrees must be integers, got {d!r}")
             if d < 0:
-                raise DomainError(f"branch degrees must be nonnegative, got {d}")
-        if not (self.n1 <= self.n2 <= self.n3):
-            raise DomainError(f"branch degrees must be sorted, got {degrees}")
+                raise DomainError(f"branch degrees must be nonnegative, got {number_text(d)}")
+        if not (n1 <= n2 <= n3):
+            raise DomainError(f"branch degrees must be sorted, got {tuple_text(degrees)}")
         if len({d % 2 for d in degrees}) != 1:
             raise ParityError(
                 f"branch degrees must share a parity for the cover to be smooth, "
-                f"got {degrees} ({DEF_BIDOUBLE})"
+                f"got {tuple_text(degrees)} ({DEF_BIDOUBLE})"
             )
         if sum(1 for d in degrees if d == 0) >= 2:
             raise DisconnectedError(
                 f"at least two zero branch degrees disconnect the cover, "
-                f"got {degrees} ({REM_CONNECTED})"
+                f"got {tuple_text(degrees)} ({REM_CONNECTED})"
             )
+        return super().__new__(cls, n1, n2, n3)
 
     @property
     def parity(self) -> str:
@@ -98,10 +97,7 @@ class BranchTriple:
         return self.n1 + self.n2 + self.n3
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n1, self.n2, self.n3)
-
-    def __iter__(self):
-        return iter(self.as_tuple())
+        return tuple(self)
 
 
 def validate_triple(triple) -> BranchTriple:
@@ -118,22 +114,16 @@ def validate_triple(triple) -> BranchTriple:
     return BranchTriple(*sorted(degrees))
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(
+    namedtuple("SurfaceInvariants", "k_squared chi h_squared h_dot_k q n m big_m")
+):
     """Numerical invariants of the cover, all exact integers.
 
     ``m`` and ``big_m`` are the special rank-two targets; they are None
     for odd triples, where c1 is not an integer multiple of H.
     """
 
-    k_squared: int
-    chi: int
-    h_squared: int
-    h_dot_k: int
-    q: int
-    n: int
-    m: int | None
-    big_m: int | None
+    __slots__ = ()
 
 
 def _euler_number(n1: int, n2: int, n3: int) -> int:
@@ -153,13 +143,13 @@ def _euler_number(n1: int, n2: int, n3: int) -> int:
 def invariants(triple) -> SurfaceInvariants:
     """Invariants of the bidouble plane with the given branch degrees."""
     t = validate_triple(triple)
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
     n = t.n
     sigma2 = n1 * n2 + n1 * n3 + n2 * n3
     chi_num = 16 + n1 * n1 + n2 * n2 + n3 * n3 + sigma2 - 6 * n
     if chi_num % 4 != 0:
         raise ConsistencyError(
-            f"chi formula produced a non-integer for {t.as_tuple()}: {chi_num}/4 "
+            f"chi formula produced a non-integer for {tuple_text(t)}: {chi_num}/4 "
             f"({PROP_INVARIANTS})"
         )
     chi = chi_num // 4
@@ -167,7 +157,7 @@ def invariants(triple) -> SurfaceInvariants:
     euler = _euler_number(n1, n2, n3)
     if 12 * chi != k_squared + euler:
         raise ConsistencyError(
-            f"Noether's formula fails on {t.as_tuple()}: 12 chi = {12 * chi}, but "
+            f"Noether's formula fails on {tuple_text(t)}: 12 chi = {12 * chi}, but "
             f"K^2 + e = {k_squared} + {euler} = {k_squared + euler} ({PROP_INVARIANTS})"
         )
     m = big_m = None
@@ -187,16 +177,12 @@ def invariants(triple) -> SurfaceInvariants:
     )
 
 
-@dataclass(frozen=True)
-class IntermediatePicard:
+class IntermediatePicard(namedtuple("IntermediatePicard", "a b rho rho_resolution cite")):
     """Picard data of one intermediate double plane Y branched in degrees
-    (a, b), a <= b, with both parities equal and a + b > 0."""
+    (a, b), a <= b, with both parities equal and a + b > 0; ``rho_resolution``
+    is None where no separate resolution value applies."""
 
-    a: int
-    b: int
-    rho: int
-    rho_resolution: int | None
-    cite: str
+    __slots__ = ()
 
 
 def intermediate_picard(a: int, b: int) -> IntermediatePicard:
@@ -236,7 +222,7 @@ def picard_jump_family(triple) -> str | None:
     (1,1,3), and (2,2,2n) n>=1; every other admissible triple has rho = 1.
     """
     t = validate_triple(triple)
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
     if (n1, n2) == (0, 2):
         return "(0,2,2n)"
     if (n1, n2) == (0, 4) and n3 >= 4:
@@ -248,13 +234,14 @@ def picard_jump_family(triple) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class PicardClassification:
-    """rho(S) = 1 verdict with the intermediate covers that break it."""
+class PicardClassification(
+    namedtuple("PicardClassification", "rho_is_one witnesses family")
+):
+    """rho(S) = 1 verdict with the intermediate covers that break it: the
+    ``witnesses`` tuple of ``IntermediatePicard`` and the jump ``family``
+    name, or None when rho(S) = 1."""
 
-    rho_is_one: bool
-    witnesses: tuple[IntermediatePicard, ...]
-    family: str | None
+    __slots__ = ()
 
 
 def picard_classification(triple) -> PicardClassification:
@@ -266,7 +253,7 @@ def picard_classification(triple) -> PicardClassification:
     the closed-form family list and a disagreement raises ConsistencyError.
     """
     t = validate_triple(triple)
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
     witnesses = []
     for a, b in ((n2, n3), (n1, n3), (n1, n2)):
         y = intermediate_picard(a, b)
@@ -277,7 +264,7 @@ def picard_classification(triple) -> PicardClassification:
     if rho_is_one != (family is None):
         raise ConsistencyError(
             f"pairwise rho test ({LEM_INTERMEDIATE}, {COR_PICARD}) and family list "
-            f"({THM_PICARD}) disagree on {t.as_tuple()}"
+            f"({THM_PICARD}) disagree on {tuple_text(t)}"
         )
     return PicardClassification(
         rho_is_one=rho_is_one,

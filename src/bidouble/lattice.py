@@ -20,11 +20,10 @@ Presets encode the lattices the classification arguments run on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from math import isqrt
 
-from .errors import SHOWN_LIMIT, DomainError, ShapeError, number_text
+from .errors import SHOWN_LIMIT, DomainError, ShapeError, number_text, tuple_text
 from .geometry import invariants, validate_triple
 
 __all__ = [
@@ -42,18 +41,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    """Integer coordinate vector in the basis of an ambient lattice."""
+class DivisorClass(tuple):
+    """Integer coordinate vector in the basis of an ambient lattice.
 
-    coords: tuple[int, ...]
+    The class is the tuple of its coordinates, so ``len`` is the rank, but
+    ``+``, ``-`` and ``*`` are the vector operations, not concatenation and
+    repetition.
+    """
 
-    def __init__(self, coords):
-        coords = tuple(coords)
-        for c in coords:
+    __slots__ = ()
+
+    def __new__(cls, coords):
+        self = super().__new__(cls, coords)
+        for c in self:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise DomainError(f"class coordinates must be integers, got {c!r}")
-        object.__setattr__(self, "coords", coords)
+        return self
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @classmethod
     def zero(cls, rank: int) -> "DivisorClass":
@@ -63,31 +70,31 @@ class DivisorClass:
     def basis(cls, rank: int, i: int) -> "DivisorClass":
         return cls(tuple(1 if j == i else 0 for j in range(rank)))
 
-    def __len__(self) -> int:
-        return len(self.coords)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self) != len(other):
             raise ShapeError(f"cannot add classes of lengths {len(self)} and {len(other)}")
-        return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass(a + b for a, b in zip(self, other))
+
+    __radd__ = __add__  # a plain tuple on the left adds too, never concatenates
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + (-other)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coords))
+        return DivisorClass(-a for a in self)
 
     def __mul__(self, scalar: int) -> "DivisorClass":
-        return DivisorClass(tuple(scalar * a for a in self.coords))
+        return DivisorClass(scalar * a for a in self)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"DivisorClass({list(self.coords)})"
+        return f"DivisorClass({list(self)})"
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(
+    namedtuple("IntersectionLattice", "rank basis_labels gram h k chi name", defaults=(None, ""))
+):
     """Free integer lattice with pairing, polarization H and canonical K.
 
     ``chi`` is not lattice data proper; it is the holomorphic Euler
@@ -95,15 +102,10 @@ class IntersectionLattice:
     presets so numerical checks can run without re-deriving it.
     """
 
-    rank: int
-    basis_labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    h: DivisorClass
-    k: DivisorClass
-    chi: int | None = None
-    name: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rank < 1:
             raise DomainError(f"rank must be positive, got {self.rank}")
         if len(self.basis_labels) != self.rank:
@@ -121,6 +123,7 @@ class IntersectionLattice:
             raise ShapeError("h and k must have coordinate length equal to rank")
         if pair(self, self.h, self.h) <= 0:
             raise DomainError("polarization must satisfy H^2 > 0")
+        return self
 
     def basis_class(self, label: str) -> DivisorClass:
         try:
@@ -145,16 +148,19 @@ def pair(lat: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     _check_length(lat, d1)
     _check_length(lat, d2)
     total = 0
-    for i, a in enumerate(d1.coords):
+    for i, a in enumerate(d1):
         if a == 0:
             continue
         row = lat.gram[i]
-        total += a * sum(g * b for g, b in zip(row, d2.coords) if b)
+        total += a * sum(g * b for g, b in zip(row, d2) if b)
     return total
 
 
 def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> Fraction:
     """Adjunction genus 1 + (d.d + d.K)/2 as an exact rational."""
+    # Imported here: ``fractions`` loads ``decimal``, which start-up skips.
+    from fractions import Fraction
+
     return 1 + Fraction(pair(lat, d, d) + pair(lat, d, lat.k), 2)
 
 
@@ -169,7 +175,7 @@ def rank1_bidouble_lattice(triple) -> IntersectionLattice:
     if not t.is_even:
         raise DomainError(
             f"rank1_bidouble preset needs an even triple; K is not an integer "
-            f"multiple of H for {t.as_tuple()}"
+            f"multiple of H for {tuple_text(t)}"
         )
     inv = invariants(t)
     return IntersectionLattice(
@@ -303,7 +309,7 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
     # where gh = G.h and c_j = sum_{k<i} G_jk x_k pairs the suffix with the
     # prefix.  The state (t, q, c) carries c for j >= i only.
     rank, gram = lat.rank, lat.gram
-    gh = [sum(g * h for g, h in zip(row, lat.h.coords)) for row in gram]
+    gh = [sum(g * h for g, h in zip(row, lat.h)) for row in gram]
     # A suffix starting at i reaches degrees of size at most reach[i].
     reach = [bound * sum(abs(v) for v in gh[i:]) for i in range(rank + 1)]
     # Where no suffix basis class pairs with a prefix one, c is identically

@@ -35,7 +35,7 @@ public functions run that check and then build their trace;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from .citations import (
@@ -48,7 +48,7 @@ from .citations import (
     REM_NORM,
     THM_RANK_TWO,
 )
-from .errors import ConsistencyError, DomainError, number_text
+from .errors import ConsistencyError, DomainError, number_text, tuple_text
 from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .lattice import (
     _CELL_CAP,
@@ -74,35 +74,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UlrichCandidate:
-    """Chern data (c1, c2, rank) of a candidate bundle."""
+class UlrichCandidate(namedtuple("UlrichCandidate", "c1 c2 rank")):
+    """Chern data (c1, c2, rank) of a candidate bundle; c1 is a
+    ``DivisorClass``."""
 
-    c1: DivisorClass
-    c2: int
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise DomainError(f"rank must be a positive integer, got {self.rank!r}")
-        if not isinstance(self.c2, int) or isinstance(self.c2, bool):
-            raise DomainError(f"c2 must be an integer, got {self.c2!r}")
-        if self.rank == 1 and self.c2 != 0:
-            raise DomainError(f"a rank-1 candidate has c2 = 0, got {self.c2}")
+    def __new__(cls, c1, c2, rank):
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise DomainError(f"rank must be a positive integer, got {rank!r}")
+        if not isinstance(c2, int) or isinstance(c2, bool):
+            raise DomainError(f"c2 must be an integer, got {c2!r}")
+        if rank == 1 and c2 != 0:
+            raise DomainError(f"a rank-1 candidate has c2 = 0, got {c2}")
+        return super().__new__(cls, c1, c2, rank)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: str
-    cite: str
+class TraceStep(namedtuple("TraceStep", "step cite")):
+    """One cited line of an elimination trace."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.step} [{self.cite}]"
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    """Outcome of one elimination argument.
+class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "status trace")):
+    """Outcome of one elimination argument: ``status`` is
+    "infeasible_parity", "infeasible_search" or "not_applicable", and
+    ``trace`` the tuple of ``TraceStep`` that reaches it.
 
     ``not_applicable`` is the neutral status for obstructions that are
     vacuous on the given input (an even product in the parity argument).
@@ -110,8 +110,7 @@ class FeasibilityVerdict:
     cases it covers, and a failed cross-check raises instead.
     """
 
-    status: str  # "infeasible_parity" | "infeasible_search" | "not_applicable"
-    trace: tuple[TraceStep, ...]
+    __slots__ = ()
 
     def render(self) -> str:
         lines = [step.render() for step in self.trace]
@@ -148,7 +147,7 @@ def _check_special_c2(t: BranchTriple, inv: SurfaceInvariants) -> None:
     route2 = 5 * inv.h_squared + 3 * inv.h_dot_k + 4 * inv.chi
     if 2 * inv.big_m != route2:
         raise ConsistencyError(
-            f"special c2 mismatch on {t.as_tuple()}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
+            f"special c2 mismatch on {tuple_text(t)}: 2M = {2 * inv.big_m} ({THM_RANK_TWO}) "
             f"vs 5 H^2 + 3 H.K + 4 chi = {route2} ({COR_SPECIAL})"
         )
 
@@ -168,7 +167,7 @@ def special_ulrich_targets(t) -> SurfaceInvariants:
     """
     t = validate_triple(t)
     if not t.is_even:
-        raise DomainError(f"special Ulrich targets need an even triple, got {t.as_tuple()}")
+        raise DomainError(f"special Ulrich targets need an even triple, got {tuple_text(t)}")
     inv = invariants(t)
     _check_special_c2(t, inv)
     return inv
@@ -219,13 +218,13 @@ def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
 def _check_q1(t: BranchTriple, inv: SurfaceInvariants) -> None:
     # q = 1: a = n/4 in Equality (2.2), 2a^2 - a(n - 6) - 4 + chi = 0,
     # times 8 to clear the denominators, must leave n1^2 + n2^2 + n3^2.
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
     n = inv.n
     cleared = n * n - 2 * n * (n - 6) - 32 + 8 * inv.chi
     sum_sq = n1 * n1 + n2 * n2 + n3 * n3
     if cleared != sum_sq:
         raise ConsistencyError(
-            f"q = 1 reduction identity failed on {t.as_tuple()}: "
+            f"q = 1 reduction identity failed on {tuple_text(t)}: "
             f"n^2 - 2n(n - 6) - 32 + 8 chi = {cleared} != {sum_sq} ({LEM_RHO_ONE})"
         )
 
@@ -240,10 +239,10 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
     """
     t = validate_triple(t)
     if not t.is_even:
-        raise DomainError(f"rank-1 elimination applies to even triples, got {t.as_tuple()}")
+        raise DomainError(f"rank-1 elimination applies to even triples, got {tuple_text(t)}")
     inv = invariants(t)
     _check_q1(t, inv)
-    n1, n2, n3 = t.as_tuple()
+    n1, n2, n3 = t
     n = t.n
     trace = [
         TraceStep(

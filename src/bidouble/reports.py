@@ -10,26 +10,24 @@ they build a report, so every report holds lines that passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = ["CheckLine", "Report"]
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    label: str
-    detail: str
-    mode: str  # "verified" | "paper-certified"
-    cite: str
+class CheckLine(namedtuple("CheckLine", "label detail mode cite")):
+    """One line of a report; ``mode`` is "verified" or "paper-certified"."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         return f"[ok] {self.label}: {self.detail} ({self.mode}, {self.cite})"
 
 
-@dataclass(frozen=True)
-class Report:
-    title: str
-    lines: tuple[CheckLine, ...] = field(default_factory=tuple)
+class Report(namedtuple("Report", "title lines", defaults=((),))):
+    """A titled tuple of ``CheckLine``, every one of which passed."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         body = "\n".join("  " + line.render() for line in self.lines)

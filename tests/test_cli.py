@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -14,9 +13,11 @@ import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
-from bidouble.errors import ConsistencyError, number_text
+from bidouble.construction import special_rank2_recipe
+from bidouble.errors import ConsistencyError, DomainError, number_text
+from bidouble.geometry import BranchTriple
 from bidouble.lattice import DivisorClass, arithmetic_genus, pair, preset_lattice
-from bidouble.numerics import UlrichCandidate, check_numerical_ulrich
+from bidouble.numerics import UlrichCandidate, check_numerical_ulrich, special_ulrich_targets
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -237,9 +238,14 @@ NINES = "9" * 1000
         ["search", "p1xp1", "--n", "5", "--bound", NINES],
         ["classify", "0", "2", NINES[:999] + "8"],
         ["batch", "--max-degree", NINES],
+        ["classify", "2", "4", NINES],
+        ["search", "rho1", "--triple", "1", "1", NINES],
+        ["search", "lattice", "--preset", "rank1_bidouble", "--triple", "1", "1", NINES,
+         "--degree", "1", "--selfint", "1"],
     ],
     ids=["lattice_bound", "lattice_default_bound", "lattice_bound_k3", "p1xp1_bound",
-         "classify_quadric", "batch_max_degree"],
+         "classify_quadric", "batch_max_degree", "classify_parity", "rho1_odd",
+         "lattice_rank1_odd"],
 )
 def test_oversized_value_refused_in_one_short_line(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -254,6 +260,22 @@ def test_oversized_value_refused_in_one_short_line(argv):
     assert result.stderr.count(b"\n") == 1
     assert len(result.stderr) < 200
     assert b"digits>" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BranchTriple(3, 1, int(NINES)),
+        lambda: special_ulrich_targets((1, 1, int(NINES))),
+        lambda: special_rank2_recipe((1, 1, int(NINES))),
+    ],
+    ids=["triple_unsorted", "targets_odd", "recipe_odd"],
+)
+def test_library_refusal_names_long_degree_by_digit_count(call):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert ", <a number of 1000 digits>)" in str(exc.value)
+    assert len(str(exc.value)) < 200
 
 
 @pytest.mark.parametrize(
@@ -390,21 +412,31 @@ def test_batch_input_long_lines(capsys, tmp_path):
 
 
 def test_cli_import_leaves_numpy_out():
+    # Neither numpy nor the heavy standard modules load at start-up; the
+    # probe counts only what the import adds, not what site preloads.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, bidouble.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import bidouble.cli; "
+        "new = set(sys.modules) - before; "
+        "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions'}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "2", "4", "6"], ["batch", "--max-degree", "6", "--format", "json"]],
-    ids=["classify", "batch"],
+    [
+        ["classify", "2", "4", "6"],
+        ["batch", "--max-degree", "6", "--format", "json"],
+        ["--help"],
+    ],
+    ids=["classify", "batch", "help"],
 )
 def test_closed_stdout_ends_quietly(argv, unbuffered):
     # stdout is a pipe whose reader is gone before the CLI writes a byte.
@@ -418,7 +450,8 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    assert result.returncode == 1
+    # Unbuffered, argparse drops its failed --help write and exits 0.
+    assert result.returncode == (0 if unbuffered and argv == ["--help"] else 1)
     assert result.stderr == b""
 
 
@@ -808,7 +841,7 @@ def shift_chi(module):
         monkeypatch.setattr(
             module,
             "invariants",
-            lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
+            lambda t: real(t)._replace(chi=real(t).chi + 1),
         )
 
     return patch

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from bidouble.construction import CBRecipe, special_rank2_recipe, verify_recipe
@@ -51,7 +49,7 @@ def test_recipe_exclusions():
         special_rank2_recipe((1, 1, 3))
 
 
-def test_recipe_dataclass_validation():
+def test_recipe_validation():
     with pytest.raises(DomainError):
         CBRecipe(3, 12, 1, 1, 3, 1, 12, None)
     with pytest.raises(DomainError):
@@ -81,10 +79,10 @@ def test_verify_recipe_passes():
 def test_verify_recipe_detects_tampering():
     t = (2, 2, 2)
     r = special_rank2_recipe(t)
-    broken = dataclasses.replace(r, z_count=r.z_count + 4)
+    broken = r._replace(z_count=r.z_count + 4)
     with pytest.raises(ConsistencyError, match="c2 count"):
         verify_recipe(t, broken)
-    broken = dataclasses.replace(r, deg_cprime=r.deg_cprime + 1)
+    broken = r._replace(deg_cprime=r.deg_cprime + 1)
     with pytest.raises(ConsistencyError, match="c1 coefficient"):
         verify_recipe(t, broken)
     # a recipe built for one triple does not verify against another

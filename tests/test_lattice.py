@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bidouble.errors import DomainError, ShapeError
+from bidouble.geometry import BranchTriple
 from bidouble.lattice import (
     DivisorClass,
     IntersectionLattice,
@@ -17,6 +18,7 @@ from bidouble.lattice import (
     preset_lattice,
     rank1_bidouble_lattice,
 )
+from bidouble.numerics import UlrichCandidate
 
 
 def full_scan(lat, bound, degree_target, selfint_target):
@@ -63,6 +65,13 @@ def test_divisor_class_arithmetic():
     assert DivisorClass.zero(4).coords == (0, 0, 0, 0)
     assert DivisorClass.basis(3, 1).coords == (0, 1, 0)
     assert len(d) == 3
+
+
+def test_divisor_class_adds_plain_tuples():
+    d = DivisorClass((1, -2))
+    assert d == (1, -2)
+    assert (3, 4) + d == d + (3, 4) == DivisorClass((4, 2))
+    assert isinstance((3, 4) + d, DivisorClass)
 
 
 def test_divisor_class_shape_mismatch():
@@ -113,6 +122,42 @@ def test_lattice_validation():
             h=DivisorClass((1, 0)),
             k=DivisorClass((0, 0)),
         )
+
+
+def plane_lattice(**changes):
+    fields = dict(
+        rank=2,
+        basis_labels=("a", "b"),
+        gram=((1, 0), (0, 1)),
+        h=DivisorClass((1, 0)),
+        k=DivisorClass((0, 0)),
+    )
+    return IntersectionLattice(**(fields | changes))
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: BranchTriple(0, 2, 4.0), DomainError),
+        (lambda: BranchTriple(False, 1, 1), DomainError),
+        (lambda: DivisorClass(c for c in (1, 0.5)), DomainError),
+        (lambda: UlrichCandidate(DivisorClass((1,)), True, 2), DomainError),
+        (
+            lambda: plane_lattice(
+                rank=0, basis_labels=(), gram=(), h=DivisorClass(()), k=DivisorClass(())
+            ),
+            DomainError,
+        ),
+        (lambda: plane_lattice(gram=((1, 0), (0,))), ShapeError),
+        (lambda: plane_lattice(k=DivisorClass((0,))), ShapeError),
+    ],
+    ids=["triple_float", "triple_bool", "class_from_generator", "candidate_bool_c2",
+         "lattice_rank0", "lattice_ragged_gram", "lattice_short_k"],
+)
+def test_record_constructors_validate(build, error):
+    # The cases the other validation tests leave out.
+    with pytest.raises(error):
+        build()
 
 
 def test_k3_024_pairings():

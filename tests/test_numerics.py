@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -426,7 +425,7 @@ def shift_chi(monkeypatch):
     real = numerics_module.invariants
     monkeypatch.setattr(
         "bidouble.numerics.invariants",
-        lambda t: dataclasses.replace(real(t), chi=real(t).chi + 1),
+        lambda t: real(t)._replace(chi=real(t).chi + 1),
     )
 
 
