@@ -51,8 +51,9 @@ from .lattice import (
     rank1_bidouble_lattice,
 )
 from .numerics import (
+    CitedLine,
     FeasibilityVerdict,
-    TraceStep,
+    Report,
     UlrichCandidate,
     check_numerical_ulrich,
     is_perfect_square,
@@ -62,7 +63,6 @@ from .numerics import (
     special_ulrich_targets,
     verify_024_certificate,
 )
-from .reports import CheckLine, Report
 
 __version__ = "1.0.0"
 
@@ -70,7 +70,7 @@ __all__ = [
     "ALL_LABELS",
     "BranchTriple",
     "CBRecipe",
-    "CheckLine",
+    "CitedLine",
     "Classification",
     "ComplexityVerdict",
     "ConsistencyError",
@@ -87,7 +87,6 @@ __all__ = [
     "Report",
     "ShapeError",
     "SurfaceInvariants",
-    "TraceStep",
     "UlrichCandidate",
     "arithmetic_genus",
     "brute_force_search",

@@ -110,7 +110,7 @@ def _line_bundle(
 
     if not t.is_even:
         _require(
-            _parity_product(t.n, 1) % 2 == 1,
+            _parity_product(t.n, 1)[1] % 2 == 1,
             f"parity obstruction failed to fire on odd triple {tuple_text(t)} ({LEM_ODD_RANK})",
         )
         return LineBundleStatus(

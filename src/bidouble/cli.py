@@ -464,7 +464,7 @@ def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
     # No verdict carries candidates; the key stays so the JSON shape holds.
     return {
         "status": verdict.status,
-        "trace": [{"step": s.step, "cite": s.cite} for s in verdict.trace],
+        "trace": [{"step": s.text, "cite": s.cite} for s in verdict.trace],
         "candidates": [],
     }
 

@@ -14,10 +14,12 @@ Pulled back to the cover, 1 + deg(C) - deg(C') = m makes c1 = mH and
 #Z = M makes c2 = M, matching the special Ulrich targets exactly.  The
 triple (0,2,2) has m = 2 and is the one even case the recipe excludes.
 
-``verify_recipe`` recomputes every numerical identity the construction
-rests on and reports them line by line; the sheaf-level steps (the
-extension defining the bundle, existence of the needed sections) are
-recorded as paper-certified, never recomputed.
+``_check_recipe`` computes every numerical identity the construction rests
+on, once, as one check table whose rows hold (label, cite, holds, template,
+numbers); ``classify_triple`` runs it on every even row, and
+``verify_recipe`` renders the same table line by line.  The sheaf-level
+steps (the extension defining the bundle, existence of the needed
+sections) are recorded as paper-certified, never recomputed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from collections import namedtuple
 from .citations import COR_SPECIAL, THM_CB, THM_RANK_TWO
 from .errors import ConsistencyError, DomainError, ExcludedCaseError, tuple_text
 from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
-from .numerics import special_ulrich_targets
-from .reports import CheckLine, Report
+from .numerics import CitedLine, Report, _failed, _report, special_ulrich_targets
 
 __all__ = ["CBRecipe", "special_rank2_recipe", "verify_recipe"]
 
@@ -114,36 +115,49 @@ def _build_recipe(t: BranchTriple, inv: SurfaceInvariants) -> CBRecipe:
     )
 
 
-# Label and citation of each verified line, in report order.
-_RECIPE_CHECKS = (
-    ("recipe matches triple", THM_RANK_TWO),
-    ("c1 coefficient", THM_RANK_TWO),
-    ("c2 count", COR_SPECIAL),
-    ("block count identity", THM_RANK_TWO),
-    ("deg C' positive", THM_RANK_TWO),
-    ("deg C >= m", THM_RANK_TWO),
-    ("vanishing inequalities", THM_RANK_TWO),
-)
-
-
-def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> None:
-    # The verified lines of ``verify_recipe``, in _RECIPE_CHECKS order.
+def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> tuple:
+    # The check table of ``verify_recipe``: each row is (label, cite, holds,
+    # template, numbers), in report order.
     m, big_m = inv.m, inv.big_m
-    blocks = 4 * recipe.deg_c if recipe.residue == 0 else 4 * (recipe.deg_c - 1) + 2
-    oks = (
-        recipe.m == m and recipe.big_m == big_m,
-        recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime == m,
-        recipe.z_count == big_m,
-        blocks == recipe.big_m,
-        recipe.deg_cprime >= 1,
-        recipe.deg_c >= m,
-        3 * recipe.big_m >= 4 * m * m and recipe.big_m > 4 * (m - 1),
+    r_m, r_big_m, residue, e1, c, cprime, z_count, _ = recipe
+    c1 = e1 + c - cprime
+    if residue == 0:
+        blocks, blocks_text = 4 * c, "4 * deg C = {} = M"
+    else:
+        blocks, blocks_text = 4 * (c - 1) + 2, "4 * (deg C - 1) + 2 = {} = M"
+    three_big_m, four_m_sq, four_m_minus_four = 3 * r_big_m, 4 * m * m, 4 * (m - 1)
+    rows = (
+        ("recipe matches triple", THM_RANK_TWO, r_m == m and r_big_m == big_m,
+         "recipe (m = {}, M = {}) vs targets (m = {}, M = {})", (r_m, r_big_m, m, big_m)),
+        ("c1 coefficient", THM_RANK_TWO, c1 == m,
+         "deg E1 + deg C - deg C' = {} + {} - {} = {}, so c1 = {}H matches 3H + K numerically",
+         (e1, c, cprime, c1, m)),
+        ("c2 count", COR_SPECIAL, z_count == big_m,
+         "z_count = {} equals the target c2 = {}, computed independently from the "
+         "Chern-number formula", (z_count, big_m)),
+        ("block count identity", THM_RANK_TWO, blocks == r_big_m, blocks_text, (blocks,)),
+        ("deg C' positive", THM_RANK_TWO, cprime >= 1, "deg C' = {} >= 1", (cprime,)),
+        ("deg C >= m", THM_RANK_TWO, c >= m, "deg C = {} >= m = {}", (c, m)),
+        ("vanishing inequalities", THM_RANK_TWO,
+         three_big_m >= four_m_sq and r_big_m > four_m_minus_four,
+         "3M = {} >= 4m^2 = {} and M = {} > 4(m - 1) = {}",
+         (three_big_m, four_m_sq, r_big_m, four_m_minus_four)),
     )
-    if not all(oks):
-        failed = ", ".join(label for (label, _), ok in zip(_RECIPE_CHECKS, oks) if not ok)
+    failed = _failed(rows)
+    if failed:
         raise ConsistencyError(
             f"recipe verification failed on {tuple_text(t)}: {failed} ({THM_RANK_TWO})"
         )
+    return rows
+
+
+_EXTENSION = CitedLine(
+    "the bundle extension over the ideal sheaf of Z and the section existence it needs "
+    "are certified, not recomputed",
+    THM_CB,
+    "rank-two extension",
+    "paper-certified",
+)
 
 
 def verify_recipe(t, recipe: CBRecipe) -> Report:
@@ -155,38 +169,8 @@ def verify_recipe(t, recipe: CBRecipe) -> Report:
     so a returned report has passed every line.
     """
     t = validate_triple(t)
-    targets = special_ulrich_targets(t)
-    _check_recipe(t, recipe, targets)
-    m, big_m = targets.m, targets.big_m
-    details = (
-        f"recipe (m = {recipe.m}, M = {recipe.big_m}) vs targets (m = {m}, M = {big_m})",
-        f"deg E1 + deg C - deg C' = {recipe.deg_e1} + {recipe.deg_c} - "
-        f"{recipe.deg_cprime} = {recipe.deg_e1 + recipe.deg_c - recipe.deg_cprime}, "
-        f"so c1 = {m}H matches 3H + K numerically",
-        f"z_count = {recipe.z_count} equals the target c2 = {big_m}, "
-        f"computed independently from the Chern-number formula",
-        f"4 * deg C = {4 * recipe.deg_c} = M"
-        if recipe.residue == 0
-        else f"4 * (deg C - 1) + 2 = {4 * (recipe.deg_c - 1) + 2} = M",
-        f"deg C' = {recipe.deg_cprime} >= 1",
-        f"deg C = {recipe.deg_c} >= m = {m}",
-        f"3M = {3 * recipe.big_m} >= 4m^2 = {4 * m * m} and "
-        f"M = {recipe.big_m} > 4(m - 1) = {4 * (m - 1)}",
-    )
-    lines = [
-        CheckLine(label=label, detail=detail, mode="verified", cite=cite)
-        for (label, cite), detail in zip(_RECIPE_CHECKS, details)
-    ]
-    lines.append(
-        CheckLine(
-            label="rank-two extension",
-            detail="the bundle extension over the ideal sheaf of Z and the section "
-            "existence it needs are certified, not recomputed",
-            mode="paper-certified",
-            cite=THM_CB,
-        )
-    )
-    return Report(
-        title=f"rank-two special Ulrich recipe for branch degrees {t.as_tuple()}",
-        lines=tuple(lines),
+    return _report(
+        f"rank-two special Ulrich recipe for branch degrees {t.as_tuple()}",
+        _check_recipe(t, recipe, special_ulrich_targets(t)),
+        _EXTENSION,
     )

@@ -15,8 +15,11 @@ from math import log10
 SHOWN_LIMIT = 10**30  # numbers from here on are named by their digit count
 
 
-def number_text(value: int) -> str:
-    """``value`` in decimal, or ``<a number of N digits>`` past 30 digits."""
+def number_text(value) -> str:
+    """``value`` in decimal, or ``<a number of N digits>`` past 30 digits;
+    a value that is no integer is written as its ``repr``."""
+    if not isinstance(value, int):
+        return repr(value)
     size = abs(value)
     if size < SHOWN_LIMIT:
         return str(value)

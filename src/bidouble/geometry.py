@@ -198,9 +198,11 @@ def intermediate_picard(a: int, b: int) -> IntermediatePicard:
     if a > b:
         a, b = b, a
     if a < 0:
-        raise DomainError(f"branch degrees must be nonnegative, got ({a}, {b})")
+        raise DomainError(f"branch degrees must be nonnegative, got {tuple_text((a, b))}")
     if (a - b) % 2 != 0:
-        raise ParityError(f"intermediate branch degrees must share a parity, got ({a}, {b})")
+        raise ParityError(
+            f"intermediate branch degrees must share a parity, got {tuple_text((a, b))}"
+        )
     if a + b == 0:
         raise DomainError("intermediate branch curve cannot be empty")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
+from numbers import Rational
 
 from .errors import SHOWN_LIMIT, DomainError, ShapeError, number_text, tuple_text
 from .geometry import invariants, validate_triple
@@ -156,8 +157,8 @@ def pair(lat: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     return total
 
 
-def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> Fraction:
-    """Adjunction genus 1 + (d.d + d.K)/2 as an exact rational."""
+def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> Rational:
+    """Adjunction genus 1 + (d.d + d.K)/2 as an exact rational, a ``Fraction``."""
     # Imported here: ``fractions`` loads ``decimal``, which start-up skips.
     from fractions import Fraction
 
@@ -433,7 +434,7 @@ def brute_force_search(
     Boxes over 10^8 cells are refused: shrink the bound instead of waiting.
     """
     if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {bound}")
+        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
     side = 2 * bound + 1
     # The side is compared first, and a side too long to show is never
     # raised to the rank: the message then counts the cells from below.

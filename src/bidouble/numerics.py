@@ -27,10 +27,15 @@ each argument closes every case it covers (n^2 < n^2 + 1 < (n+1)^2 for the
 quadric route), so a surviving candidate could only come from broken
 arithmetic, and the second routes raise ``ConsistencyError`` on it instead.
 
-The arithmetic of each argument, second routes included, lives in one
-private check that takes the ``SurfaceInvariants`` record and raises.  The
-public functions run that check and then build their trace;
-``classify_triple`` runs the checks alone and builds no text.
+Each argument's numbers, second routes included, are computed once, in
+one private check that raises on a failed identity and returns the numbers
+it computed.  A trace or report line is a constant template filled from
+those numbers: the public functions do no arithmetic of their own, and
+``classify_triple`` runs the checks alone and fills no template.  Every
+line, of a trace or of a report, is one ``CitedLine``.  A report line is
+either recomputed here ("verified") or recorded as a fact established in
+the paper ("paper-certified"), and a ``Report`` holds only lines that
+passed, since a failed check raises before it is built.
 """
 
 from __future__ import annotations
@@ -58,12 +63,12 @@ from .lattice import (
     k3_024_lattice,
     pair,
 )
-from .reports import CheckLine, Report
 
 __all__ = [
     "UlrichCandidate",
-    "TraceStep",
+    "CitedLine",
     "FeasibilityVerdict",
+    "Report",
     "check_numerical_ulrich",
     "special_ulrich_targets",
     "odd_rank_obstruction",
@@ -82,27 +87,26 @@ class UlrichCandidate(namedtuple("UlrichCandidate", "c1 c2 rank")):
 
     def __new__(cls, c1, c2, rank):
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-            raise DomainError(f"rank must be a positive integer, got {rank!r}")
+            raise DomainError(f"rank must be a positive integer, got {number_text(rank)}")
         if not isinstance(c2, int) or isinstance(c2, bool):
-            raise DomainError(f"c2 must be an integer, got {c2!r}")
+            raise DomainError(f"c2 must be an integer, got {number_text(c2)}")
         if rank == 1 and c2 != 0:
-            raise DomainError(f"a rank-1 candidate has c2 = 0, got {c2}")
+            raise DomainError(f"a rank-1 candidate has c2 = 0, got {number_text(c2)}")
         return super().__new__(cls, c1, c2, rank)
 
 
-class TraceStep(namedtuple("TraceStep", "step cite")):
-    """One cited line of an elimination trace."""
+class CitedLine(namedtuple("CitedLine", "text cite label mode", defaults=(None, None))):
+    """One cited line of an argument.  A trace step has ``text`` and
+    ``cite``; a report line also names its check's ``label`` and its
+    ``mode``, "verified" or "paper-certified"."""
 
     __slots__ = ()
-
-    def render(self) -> str:
-        return f"{self.step} [{self.cite}]"
 
 
 class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "status trace")):
     """Outcome of one elimination argument: ``status`` is
     "infeasible_parity", "infeasible_search" or "not_applicable", and
-    ``trace`` the tuple of ``TraceStep`` that reaches it.
+    ``trace`` the tuple of ``CitedLine`` that reaches it.
 
     ``not_applicable`` is the neutral status for obstructions that are
     vacuous on the given input (an even product in the parity argument).
@@ -113,9 +117,42 @@ class FeasibilityVerdict(namedtuple("FeasibilityVerdict", "status trace")):
     __slots__ = ()
 
     def render(self) -> str:
-        lines = [step.render() for step in self.trace]
+        lines = [f"{line.text} [{line.cite}]" for line in self.trace]
         lines.append(f"verdict: {self.status}")
         return "\n".join(lines)
+
+
+class Report(namedtuple("Report", "title lines", defaults=((),))):
+    """A titled tuple of report ``CitedLine``, every one of which passed."""
+
+    __slots__ = ()
+
+    def render(self) -> str:
+        body = "\n".join(
+            f"  [ok] {line.label}: {line.text} ({line.mode}, {line.cite})" for line in self.lines
+        )
+        return f"{self.title}\n{body}\n  => all checks passed"
+
+
+# A check table has one row per verified line of a report:
+# (label, cite, holds, template, numbers), the template a constant that
+# the row's numbers fill.
+def _failed(rows) -> str:
+    """The labels of the rows that do not hold, comma-separated, or ""."""
+    for row in rows:  # a plain loop: every classified row passes through here
+        if not row[2]:
+            return ", ".join(label for label, _, holds, _, _ in rows if not holds)
+    return ""
+
+
+def _report(title: str, rows, certified: CitedLine) -> Report:
+    """The report of a passed check table, closed by its paper-certified line."""
+    lines = [
+        CitedLine(template.format(*numbers), cite, label, "verified")
+        for label, cite, _, template, numbers in rows
+    ]
+    lines.append(certified)
+    return Report(title, tuple(lines))
 
 
 def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> bool:
@@ -173,9 +210,28 @@ def special_ulrich_targets(t) -> SurfaceInvariants:
     return inv
 
 
-def _parity_product(n: int, rank: int) -> int:
+def _parity_product(n: int, rank: int) -> tuple[int, int]:
     # 2 c1.K = rank * n * (n - 6); the obstruction fires when it is odd.
-    return rank * n * (n - 6)
+    # Returns n - 6 and the product.
+    shift = n - 6
+    return shift, rank * n * shift
+
+
+# Trace templates of ``odd_rank_obstruction``: {0} rank, {1} n, {2} n - 6,
+# {3} the product, {4} the parity of the cover.
+_PARITY_PRODUCT = (
+    "Equality (2.1) pairs with K: 2 c1.K = rank * (3H + K).K = rank * n * (n - 6) "
+    "= {0} * {1} * {2} = {3}"
+)
+_PARITY_ODD = (
+    _PARITY_PRODUCT,
+    "2 c1.K would equal the odd integer {3}, but c1.K is an integer, "
+    "so 2 c1.K is even: contradiction",
+)
+_PARITY_EVEN = (
+    _PARITY_PRODUCT,
+    "{3} is even: the parity obstruction does not apply (parity {4}, rank {0})",
+)
 
 
 def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
@@ -186,38 +242,22 @@ def odd_rank_obstruction(t, rank: int) -> FeasibilityVerdict:
     """
     t = validate_triple(t)
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
-        raise DomainError(f"rank must be a positive integer, got {rank!r}")
-    n = t.n
-    product = _parity_product(n, rank)
-    trace = [
-        TraceStep(
-            f"Equality (2.1) pairs with K: 2 c1.K = rank * (3H + K).K = rank * n * (n - 6) "
-            f"= {rank} * {n} * {n - 6} = {product}",
-            LEM_ODD_RANK,
-        )
-    ]
-    if product % 2 == 1:
-        trace.append(
-            TraceStep(
-                f"2 c1.K would equal the odd integer {product}, but c1.K is an integer, "
-                f"so 2 c1.K is even: contradiction",
-                LEM_ODD_RANK,
-            )
-        )
-        return FeasibilityVerdict("infeasible_parity", tuple(trace))
-    trace.append(
-        TraceStep(
-            f"{product} is even: the parity obstruction does not apply "
-            f"(parity {t.parity}, rank {rank})",
-            LEM_ODD_RANK,
-        )
+        raise DomainError(f"rank must be a positive integer, got {number_text(rank)}")
+    numbers = (rank, t.n, *_parity_product(t.n, rank), t.parity)
+    if numbers[3] % 2 == 1:
+        status, steps = "infeasible_parity", _PARITY_ODD
+    else:
+        status, steps = "not_applicable", _PARITY_EVEN
+    return FeasibilityVerdict(
+        status, tuple(CitedLine(step.format(*numbers), LEM_ODD_RANK) for step in steps)
     )
-    return FeasibilityVerdict("not_applicable", tuple(trace))
 
 
-def _check_q1(t: BranchTriple, inv: SurfaceInvariants) -> None:
+def _check_q1(t: BranchTriple, inv: SurfaceInvariants) -> tuple:
     # q = 1: a = n/4 in Equality (2.2), 2a^2 - a(n - 6) - 4 + chi = 0,
     # times 8 to clear the denominators, must leave n1^2 + n2^2 + n3^2.
+    # Returns the numbers of the ``rank1_rho1_search`` trace, in the order
+    # its templates name them.
     n1, n2, n3 = t
     n = inv.n
     cleared = n * n - 2 * n * (n - 6) - 32 + 8 * inv.chi
@@ -227,6 +267,37 @@ def _check_q1(t: BranchTriple, inv: SurfaceInvariants) -> None:
             f"q = 1 reduction identity failed on {tuple_text(t)}: "
             f"n^2 - 2n(n - 6) - 32 + 8 chi = {cleared} != {sum_sq} ({LEM_RHO_ONE})"
         )
+    half = n // 2  # n is even
+    if half % 2 == 0:
+        return n, half, half // 2, None, None, sum_sq
+    return n, half, None, half * half - half * (n - 6), 8 - 2 * inv.chi, sum_sq
+
+
+# Trace templates of ``rank1_rho1_search``, filled from ``_check_q1``:
+# {0} n, {1} n/2, {2} n/4 (None when n/2 is odd), {3} a^2 - a(n - 6) and
+# {4} 8 - 2 chi at a = n/2 (None when n/2 is even), {5} n1^2 + n2^2 + n3^2.
+_RHO1_CASES = (
+    "write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): "
+    "c1.H = (3H + K).H / 2 = n1 + n2 + n3 = {0}, so 4a/q = {0} and q divides 4",
+    "cases q in {{1, 2, 4}}",
+    "q = 4: a = n = {0} is even, contradicting gcd(a, 4) = 1",
+)
+_RHO1_EVEN_HALF = (
+    *_RHO1_CASES,
+    "q = 2: a = n/2 = {1} is even, contradicting gcd(a, 2) = 1",
+    "q = 1: Equality (2.1) gives a = n/4 = {2}; substituting into Equality (2.2) "
+    "and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0",
+    "n1^2 + n2^2 + n3^2 = {5} != 0",
+)
+_RHO1_ODD_HALF = (
+    *_RHO1_CASES,
+    "q = 2: a = n/2 = {1}; Equality (2.2) forces a^2 - a(n - 6) = {3} "
+    "to equal 8 - 2 chi = {4}, an even number, but "
+    "a^2 - a(n - 6) is congruent to a = {1} mod 2: contradiction",
+    "q = 1: Equality (2.1) gives a = n/4 = {1}/2; substituting into Equality (2.2) "
+    "and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0",
+    "n1^2 + n2^2 + n3^2 = {5} != 0",
+)
 
 
 def rank1_rho1_search(t) -> FeasibilityVerdict:
@@ -240,69 +311,26 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
     t = validate_triple(t)
     if not t.is_even:
         raise DomainError(f"rank-1 elimination applies to even triples, got {tuple_text(t)}")
-    inv = invariants(t)
-    _check_q1(t, inv)
-    n1, n2, n3 = t
-    n = t.n
-    trace = [
-        TraceStep(
-            f"write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): "
-            f"c1.H = (3H + K).H / 2 = n1 + n2 + n3 = {n}, so 4a/q = {n} and q divides 4",
-            LEM_RHO_ONE,
-        ),
-        TraceStep("cases q in {1, 2, 4}", LEM_RHO_ONE),
-        TraceStep(
-            f"q = 4: a = n = {n} is even, contradicting gcd(a, 4) = 1",
-            LEM_RHO_ONE,
-        ),
-    ]
-    a2 = n // 2
-    if a2 % 2 == 0:
-        trace.append(
-            TraceStep(
-                f"q = 2: a = n/2 = {a2} is even, contradicting gcd(a, 2) = 1",
-                LEM_RHO_ONE,
-            )
-        )
-    else:
-        lhs2 = a2 * a2 - a2 * (n - 6)
-        trace.append(
-            TraceStep(
-                f"q = 2: a = n/2 = {a2}; Equality (2.2) forces a^2 - a(n - 6) = {lhs2} "
-                f"to equal 8 - 2 chi = {8 - 2 * inv.chi}, an even number, but "
-                f"a^2 - a(n - 6) is congruent to a = {a2} mod 2: contradiction",
-                LEM_RHO_ONE,
-            )
-        )
-    a1 = n // 4 if n % 4 == 0 else f"{n // 2}/2"  # n is even
-    trace.append(
-        TraceStep(
-            f"q = 1: Equality (2.1) gives a = n/4 = {a1}; substituting into Equality (2.2) "
-            f"and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0",
-            LEM_RHO_ONE,
-        )
+    numbers = _check_q1(t, invariants(t))
+    steps = _RHO1_ODD_HALF if numbers[2] is None else _RHO1_EVEN_HALF
+    return FeasibilityVerdict(
+        "infeasible_search",
+        tuple(CitedLine(step.format(*numbers), LEM_RHO_ONE) for step in steps),
     )
-    trace.append(
-        TraceStep(
-            f"n1^2 + n2^2 + n3^2 = {n1 * n1 + n2 * n2 + n3 * n3} != 0",
-            LEM_RHO_ONE,
-        )
-    )
-    return FeasibilityVerdict("infeasible_search", tuple(trace))
 
 
 def is_perfect_square(value: int) -> bool:
     """Exact integer square test; negative input is a usage error."""
     if value < 0:
-        raise DomainError(f"perfect-square test needs a nonnegative integer, got {value}")
+        raise DomainError(
+            f"perfect-square test needs a nonnegative integer, got {number_text(value)}"
+        )
     r = isqrt(value)
     return r * r == value
 
 
-def _quadric_box_solutions(n: int, mprime: int, bound: int) -> list[tuple[int, int]]:
-    # a + b = (n+1)m' pins b once a is chosen, so the box scan is linear.
-    s = (n + 1) * mprime
-    target = n * mprime * mprime
+def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, int]]:
+    # a + b = s pins b once a is chosen, so the box scan is linear.
     out = []
     for a in range(-bound, bound + 1):
         b = s - a
@@ -311,29 +339,55 @@ def _quadric_box_solutions(n: int, mprime: int, bound: int) -> list[tuple[int, i
     return out
 
 
-def _check_quadric(n: int, bound: int) -> None:
+def _check_quadric(n: int, bound: int | None = None) -> tuple:
     # Both routes of ``p1xp1_line_search``: n^2 + 1 is no square, and the
-    # box |a|, |b| <= bound holds no root for m' = 1 or 2.
+    # box |a|, |b| <= bound (default 10(n + 1)) holds no root for m' = 1
+    # or 2.  Returns the bound and, per m', the numbers of its trace lines.
+    if bound is None:
+        bound = 10 * (n + 1)
     if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {bound}")
+        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
     if 2 * bound + 1 > _CELL_CAP:
         raise DomainError(
             f"quadric box scan at bound {number_text(bound)} has "
             f"{number_text(2 * bound + 1)} values of a, "
             f"over the cap of {_CELL_CAP}"
         )
-    if is_perfect_square(n * n + 1):
+    value = n * n + 1
+    if is_perfect_square(value):
         raise ConsistencyError(
-            f"n^2 + 1 = {n * n + 1} tested as a perfect square, but n^2 < n^2 + 1 < "
+            f"n^2 + 1 = {value} tested as a perfect square, but n^2 < n^2 + 1 < "
             f"(n + 1)^2 for n = {n} ({PROP_QUADRIC})"
         )
-    box_solutions = _quadric_box_solutions(n, 1, bound) + _quadric_box_solutions(n, 2, bound)
+    root = isqrt(value)
+    blocks = []
+    box_solutions = []
+    for mprime in (1, 2):
+        s, target = (n + 1) * mprime, n * mprime * mprime
+        blocks.append((mprime, s, target, 2 * s, 4 * mprime * mprime * value, value, root))
+        box_solutions += _quadric_box_solutions(s, target, bound)
     if box_solutions:
         raise ConsistencyError(
             f"quadric discriminant route leaves no integer root for n = {n}, but the box "
             f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
             f"{box_solutions[0]} ({PROP_QUADRIC})"
         )
+    return bound, blocks
+
+
+# Trace templates of ``p1xp1_line_search``, each filled from one m' block
+# of ``_check_quadric``: {0} m', {1} (n + 1)m', {2} n m'^2, {3} 2m'(n + 1),
+# {4} 4m'^2(n^2 + 1), {5} n^2 + 1, {6} isqrt(n^2 + 1).
+_QUADRIC_STEPS = (
+    (
+        "m' = {0} (the norm of the pulled-back bundle has order <= 2): "
+        "impose a + b = (n + 1)m' = {1} and 2ab = n m'^2 = {2}",
+        REM_NORM,
+    ),
+    ("eliminate b: 2a^2 - {3}a + {2} = 0, discriminant 4 m'^2 (n^2 + 1) = {4}", PROP_QUADRIC),
+    ("n^2 + 1 = {5} is not a perfect square (isqrt = {6}), so no integer root", PROP_QUADRIC),
+)
+_QUADRIC_BOX = "brute-force cross-check over the box |a|, |b| <= {}: 0 solution(s)"
 
 
 def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
@@ -350,40 +404,14 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     lattice boxes are.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"quadric parameter n must be a positive integer, got {n!r}")
-    if bound is None:
-        bound = 10 * (n + 1)
-    _check_quadric(n, bound)
-    trace = []
-    for mprime in (1, 2):
-        trace.append(
-            TraceStep(
-                f"m' = {mprime} (the norm of the pulled-back bundle has order <= 2): "
-                f"impose a + b = (n + 1)m' = {(n + 1) * mprime} and "
-                f"2ab = n m'^2 = {n * mprime * mprime}",
-                REM_NORM,
-            )
-        )
-        trace.append(
-            TraceStep(
-                f"eliminate b: 2a^2 - {2 * mprime * (n + 1)}a + {mprime * mprime * n} = 0, "
-                f"discriminant 4 m'^2 (n^2 + 1) = {4 * mprime * mprime * (n * n + 1)}",
-                PROP_QUADRIC,
-            )
-        )
-        trace.append(
-            TraceStep(
-                f"n^2 + 1 = {n * n + 1} is not a perfect square "
-                f"(isqrt = {isqrt(n * n + 1)}), so no integer root",
-                PROP_QUADRIC,
-            )
-        )
-    trace.append(
-        TraceStep(
-            f"brute-force cross-check over the box |a|, |b| <= {bound}: 0 solution(s)",
-            PROP_QUADRIC,
-        )
-    )
+        raise DomainError(f"quadric parameter n must be a positive integer, got {number_text(n)}")
+    bound, blocks = _check_quadric(n, bound)
+    trace = [
+        CitedLine(template.format(*numbers), cite)
+        for numbers in blocks
+        for template, cite in _QUADRIC_STEPS
+    ]
+    trace.append(CitedLine(_QUADRIC_BOX.format(bound), PROP_QUADRIC))
     return FeasibilityVerdict("infeasible_search", tuple(trace))
 
 
@@ -425,18 +453,37 @@ def _ulrich_class_on_k3_024():
 _CERTIFICATES = {(0, 2, 2): _conic_on_delpezzo4, (0, 2, 4): _ulrich_class_on_k3_024}
 
 
-def _check_certificate(cover: tuple[int, int, int]):
+def _check_certificate(cover: tuple[int, int, int]) -> list:
     # Every certificate number must come out as stated, and D must satisfy
-    # Equalities (2.1)-(2.2) at rank 1; returns the lattice and the numbers.
+    # Equalities (2.1)-(2.2) at rank 1; returns the check table.
     lat, d, numbers = _CERTIFICATES[cover]()
-    failed = [label for label, got, want in numbers if got != want]
-    if not check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)):
-        failed.append("Equalities (2.1)-(2.2)")
+    rows = [
+        (label, PROP_LOW_DEGREE, got == want, "computed {}, expected {}", (got, want))
+        for label, got, want in numbers
+    ]
+    rows.append(
+        (
+            "Equalities (2.1)-(2.2)",
+            PROP_NUMERICAL,
+            check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)),
+            "c1 = D, c2 = 0, rank 1 on {} (chi = {}): satisfied",
+            (lat.describe(), lat.chi),
+        )
+    )
+    failed = _failed(rows)
     if failed:
         raise ConsistencyError(
-            f"certificate mismatch on {lat.describe()}: {', '.join(failed)} ({PROP_LOW_DEGREE})"
+            f"certificate mismatch on {lat.describe()}: {failed} ({PROP_LOW_DEGREE})"
         )
-    return lat, numbers
+    return rows
+
+
+_H0_VANISHING = CitedLine(
+    "h^0 of -F, F, F' and their twists vanish as the proof requires; recorded, not recomputed",
+    PROP_LOW_DEGREE,
+    "h^0 vanishing",
+    "paper-certified",
+)
 
 
 def verify_024_certificate() -> Report:
@@ -447,34 +494,8 @@ def verify_024_certificate() -> Report:
     whose non-effectivity the proof needs.  All pairings are recomputed
     exactly; the h^0 vanishing they feed is recorded, not recomputed.
     """
-    lat, numbers = _check_certificate((0, 2, 4))
-    lines = [
-        CheckLine(
-            label=label,
-            detail=f"computed {got}, expected {want}",
-            mode="verified",
-            cite=PROP_LOW_DEGREE,
-        )
-        for label, got, want in numbers
-    ]
-    lines.append(
-        CheckLine(
-            label="Equalities (2.1)-(2.2)",
-            detail=f"c1 = D, c2 = 0, rank 1 on {lat.describe()} (chi = {lat.chi}): satisfied",
-            mode="verified",
-            cite=PROP_NUMERICAL,
-        )
-    )
-    lines.append(
-        CheckLine(
-            label="h^0 vanishing",
-            detail="h^0 of -F, F, F' and their twists vanish as the proof requires; "
-            "recorded, not recomputed",
-            mode="paper-certified",
-            cite=PROP_LOW_DEGREE,
-        )
-    )
-    return Report(
-        title="Ulrich line bundle certificate for branch degrees (0, 2, 4)",
-        lines=tuple(lines),
+    return _report(
+        "Ulrich line bundle certificate for branch degrees (0, 2, 4)",
+        _check_certificate((0, 2, 4)),
+        _H0_VANISHING,
     )

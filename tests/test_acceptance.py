@@ -157,7 +157,7 @@ def test_criterion_04_rank1_elimination():
     for t in triples:
         verdict = rank1_rho1_search(t)
         assert verdict.status == "infeasible_search", t
-        match = RESIDUAL.search(verdict.trace[-1].step)
+        match = RESIDUAL.search(verdict.trace[-1].text)
         assert match, t
         residual = int(match.group(1))
         n1, n2, n3 = t.as_tuple()

@@ -6,18 +6,36 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
+import bidouble
 import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
-from bidouble.construction import special_rank2_recipe
+from bidouble.construction import special_rank2_recipe, verify_recipe
 from bidouble.errors import ConsistencyError, DomainError, number_text
-from bidouble.geometry import BranchTriple
-from bidouble.lattice import DivisorClass, arithmetic_genus, pair, preset_lattice
-from bidouble.numerics import UlrichCandidate, check_numerical_ulrich, special_ulrich_targets
+from bidouble.geometry import BranchTriple, intermediate_picard
+from bidouble.lattice import (
+    DivisorClass,
+    arithmetic_genus,
+    brute_force_search,
+    pair,
+    preset_lattice,
+)
+from bidouble.numerics import (
+    UlrichCandidate,
+    check_numerical_ulrich,
+    is_perfect_square,
+    odd_rank_obstruction,
+    p1xp1_line_search,
+    rank1_rho1_search,
+    special_ulrich_targets,
+    verify_024_certificate,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -268,13 +286,38 @@ def test_oversized_value_refused_in_one_short_line(argv):
         lambda: BranchTriple(3, 1, int(NINES)),
         lambda: special_ulrich_targets((1, 1, int(NINES))),
         lambda: special_rank2_recipe((1, 1, int(NINES))),
+        lambda: rank1_rho1_search((1, 1, int(NINES))),
+        lambda: intermediate_picard(0, int(NINES)),
+        lambda: intermediate_picard(-1, int(NINES)),
     ],
-    ids=["triple_unsorted", "targets_odd", "recipe_odd"],
+    ids=["triple_unsorted", "targets_odd", "recipe_odd", "rho1_odd", "pair_parity",
+         "pair_sign"],
 )
 def test_library_refusal_names_long_degree_by_digit_count(call):
     with pytest.raises(DomainError) as exc:
         call()
     assert ", <a number of 1000 digits>)" in str(exc.value)
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: odd_rank_obstruction((1, 1, 3), -int(NINES)),
+        lambda: UlrichCandidate(DivisorClass((1,)), int(NINES), 1),
+        lambda: UlrichCandidate(DivisorClass((1,)), 0, -int(NINES)),
+        lambda: is_perfect_square(-int(NINES)),
+        lambda: p1xp1_line_search(-int(NINES)),
+        lambda: p1xp1_line_search(3, bound=-int(NINES)),
+        lambda: brute_force_search(preset_lattice("p1xp1"), -int(NINES), 1, 0),
+    ],
+    ids=["parity_rank", "candidate_c2", "candidate_rank", "perfect_square", "p1xp1_n",
+         "p1xp1_bound", "lattice_bound"],
+)
+def test_library_refusal_names_long_number_by_digit_count(call):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert "<a number of 1000 digits>" in str(exc.value)
     assert len(str(exc.value)) < 200
 
 
@@ -426,6 +469,16 @@ def test_cli_import_leaves_numpy_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_public_annotations_resolve():
+    # Start-up imports no annotation-only module, yet every annotation of a
+    # public function names something the module can resolve.
+    functions = [getattr(bidouble, name) for name in bidouble.__all__]
+    functions = [fn for fn in functions if isinstance(fn, types.FunctionType)]
+    assert bidouble.arithmetic_genus in functions
+    for fn in functions:
+        typing.get_type_hints(fn)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -965,3 +1018,166 @@ def test_traced_harness_binds_every_name(argv, tmp_path):
     assert len(expected) == 17
     assert set(bindings) == expected
     assert all(count >= 1 for count in bindings.values()), bindings
+
+
+# The exact text of every argument's trace and report, as printed: both
+# branches of the recipe's block count (M = 0 and 2 mod 4) and of the
+# q = 2 case (n/2 odd and even), both parity outcomes, and the quadric
+# trace as text and as JSON.
+
+RECIPE_222 = """\
+rank-two special Ulrich recipe for branch degrees (2, 2, 2)
+  [ok] recipe matches triple: recipe (m = 3, M = 12) vs targets (m = 3, M = 12) (verified, Thm. 5.1)
+  [ok] c1 coefficient: deg E1 + deg C - deg C' = 1 + 3 - 1 = 3, so c1 = 3H matches 3H + K numerically (verified, Thm. 5.1)
+  [ok] c2 count: z_count = 12 equals the target c2 = 12, computed independently from the Chern-number formula (verified, Cor. 2.5)
+  [ok] block count identity: 4 * deg C = 12 = M (verified, Thm. 5.1)
+  [ok] deg C' positive: deg C' = 1 >= 1 (verified, Thm. 5.1)
+  [ok] deg C >= m: deg C = 3 >= m = 3 (verified, Thm. 5.1)
+  [ok] vanishing inequalities: 3M = 36 >= 4m^2 = 36 and M = 12 > 4(m - 1) = 8 (verified, Thm. 5.1)
+  [ok] rank-two extension: the bundle extension over the ideal sheaf of Z and the section existence it needs are certified, not recomputed (paper-certified, Thm. 2.6)
+  => all checks passed
+"""
+
+RECIPE_246 = """\
+rank-two special Ulrich recipe for branch degrees (2, 4, 6)
+  [ok] recipe matches triple: recipe (m = 6, M = 50) vs targets (m = 6, M = 50) (verified, Thm. 5.1)
+  [ok] c1 coefficient: deg E1 + deg C - deg C' = 1 + 13 - 8 = 6, so c1 = 6H matches 3H + K numerically (verified, Thm. 5.1)
+  [ok] c2 count: z_count = 50 equals the target c2 = 50, computed independently from the Chern-number formula (verified, Cor. 2.5)
+  [ok] block count identity: 4 * (deg C - 1) + 2 = 50 = M (verified, Thm. 5.1)
+  [ok] deg C' positive: deg C' = 8 >= 1 (verified, Thm. 5.1)
+  [ok] deg C >= m: deg C = 13 >= m = 6 (verified, Thm. 5.1)
+  [ok] vanishing inequalities: 3M = 150 >= 4m^2 = 144 and M = 50 > 4(m - 1) = 20 (verified, Thm. 5.1)
+  [ok] rank-two extension: the bundle extension over the ideal sheaf of Z and the section existence it needs are certified, not recomputed (paper-certified, Thm. 2.6)
+  => all checks passed
+"""
+
+CERTIFICATE_024 = """\
+Ulrich line bundle certificate for branch degrees (0, 2, 4)
+  [ok] D.H: computed 6, expected 6 (verified, Prop. 4.6)
+  [ok] D.D: computed 4, expected 4 (verified, Prop. 4.6)
+  [ok] F.F: computed -4, expected -4 (verified, Prop. 4.6)
+  [ok] H.F: computed 2, expected 2 (verified, Prop. 4.6)
+  [ok] F.E1': computed -1, expected -1 (verified, Prop. 4.6)
+  [ok] F'.F': computed -4, expected -4 (verified, Prop. 4.6)
+  [ok] H.F': computed 0, expected 0 (verified, Prop. 4.6)
+  [ok] H.E1': computed 2, expected 2 (verified, Prop. 4.6)
+  [ok] H.E2': computed 2, expected 2 (verified, Prop. 4.6)
+  [ok] Equalities (2.1)-(2.2): c1 = D, c2 = 0, rank 1 on k3_024 (chi = 2): satisfied (verified, Prop. 2.3)
+  [ok] h^0 vanishing: h^0 of -F, F, F' and their twists vanish as the proof requires; recorded, not recomputed (paper-certified, Prop. 4.6)
+  => all checks passed
+"""
+
+RHO1_222 = """\
+search: rho1
+triple: [2, 2, 2]
+write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): c1.H = (3H + K).H / 2 = n1 + n2 + n3 = 6, so 4a/q = 6 and q divides 4 [Lemma 4.2]
+cases q in {1, 2, 4} [Lemma 4.2]
+q = 4: a = n = 6 is even, contradicting gcd(a, 4) = 1 [Lemma 4.2]
+q = 2: a = n/2 = 3; Equality (2.2) forces a^2 - a(n - 6) = 9 to equal 8 - 2 chi = 6, an even number, but a^2 - a(n - 6) is congruent to a = 3 mod 2: contradiction [Lemma 4.2]
+q = 1: Equality (2.1) gives a = n/4 = 3/2; substituting into Equality (2.2) and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0 [Lemma 4.2]
+n1^2 + n2^2 + n3^2 = 12 != 0 [Lemma 4.2]
+verdict: infeasible_search
+"""
+
+RHO1_246 = """\
+search: rho1
+triple: [2, 4, 6]
+write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): c1.H = (3H + K).H / 2 = n1 + n2 + n3 = 12, so 4a/q = 12 and q divides 4 [Lemma 4.2]
+cases q in {1, 2, 4} [Lemma 4.2]
+q = 4: a = n = 12 is even, contradicting gcd(a, 4) = 1 [Lemma 4.2]
+q = 2: a = n/2 = 6 is even, contradicting gcd(a, 2) = 1 [Lemma 4.2]
+q = 1: Equality (2.1) gives a = n/4 = 3; substituting into Equality (2.2) and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0 [Lemma 4.2]
+n1^2 + n2^2 + n3^2 = 56 != 0 [Lemma 4.2]
+verdict: infeasible_search
+"""
+
+P1XP1_3_TEXT = """\
+search: p1xp1
+n: 3
+bound: 40
+m' = 1 (the norm of the pulled-back bundle has order <= 2): impose a + b = (n + 1)m' = 4 and 2ab = n m'^2 = 3 [Remark after Lemma 3.1]
+eliminate b: 2a^2 - 8a + 3 = 0, discriminant 4 m'^2 (n^2 + 1) = 40 [Prop. 4.4]
+n^2 + 1 = 10 is not a perfect square (isqrt = 3), so no integer root [Prop. 4.4]
+m' = 2 (the norm of the pulled-back bundle has order <= 2): impose a + b = (n + 1)m' = 8 and 2ab = n m'^2 = 12 [Remark after Lemma 3.1]
+eliminate b: 2a^2 - 16a + 12 = 0, discriminant 4 m'^2 (n^2 + 1) = 160 [Prop. 4.4]
+n^2 + 1 = 10 is not a perfect square (isqrt = 3), so no integer root [Prop. 4.4]
+brute-force cross-check over the box |a|, |b| <= 40: 0 solution(s) [Prop. 4.4]
+verdict: infeasible_search
+"""
+
+P1XP1_3_JSON = """\
+{
+  "search": "p1xp1",
+  "n": 3,
+  "bound": 40,
+  "verdict": {
+    "status": "infeasible_search",
+    "trace": [
+      {
+        "step": "m' = 1 (the norm of the pulled-back bundle has order <= 2): impose a + b = (n + 1)m' = 4 and 2ab = n m'^2 = 3",
+        "cite": "Remark after Lemma 3.1"
+      },
+      {
+        "step": "eliminate b: 2a^2 - 8a + 3 = 0, discriminant 4 m'^2 (n^2 + 1) = 40",
+        "cite": "Prop. 4.4"
+      },
+      {
+        "step": "n^2 + 1 = 10 is not a perfect square (isqrt = 3), so no integer root",
+        "cite": "Prop. 4.4"
+      },
+      {
+        "step": "m' = 2 (the norm of the pulled-back bundle has order <= 2): impose a + b = (n + 1)m' = 8 and 2ab = n m'^2 = 12",
+        "cite": "Remark after Lemma 3.1"
+      },
+      {
+        "step": "eliminate b: 2a^2 - 16a + 12 = 0, discriminant 4 m'^2 (n^2 + 1) = 160",
+        "cite": "Prop. 4.4"
+      },
+      {
+        "step": "n^2 + 1 = 10 is not a perfect square (isqrt = 3), so no integer root",
+        "cite": "Prop. 4.4"
+      },
+      {
+        "step": "brute-force cross-check over the box |a|, |b| <= 40: 0 solution(s)",
+        "cite": "Prop. 4.4"
+      }
+    ],
+    "candidates": []
+  }
+}
+"""
+
+PARITY_113_RANK1 = """\
+Equality (2.1) pairs with K: 2 c1.K = rank * (3H + K).K = rank * n * (n - 6) = 1 * 5 * -1 = -5 [Lemma 4.1]
+2 c1.K would equal the odd integer -5, but c1.K is an integer, so 2 c1.K is even: contradiction [Lemma 4.1]
+verdict: infeasible_parity
+"""
+
+PARITY_113_RANK2 = """\
+Equality (2.1) pairs with K: 2 c1.K = rank * (3H + K).K = rank * n * (n - 6) = 2 * 5 * -1 = -10 [Lemma 4.1]
+-10 is even: the parity obstruction does not apply (parity odd, rank 2) [Lemma 4.1]
+verdict: not_applicable
+"""
+
+
+@pytest.mark.parametrize(
+    "produce, expected",
+    [
+        (lambda: print(verify_recipe((2, 2, 2), special_rank2_recipe((2, 2, 2))).render()),
+         RECIPE_222),
+        (lambda: print(verify_recipe((2, 4, 6), special_rank2_recipe((2, 4, 6))).render()),
+         RECIPE_246),
+        (lambda: print(verify_024_certificate().render()), CERTIFICATE_024),
+        (lambda: cli.main(["search", "rho1", "--triple", "2", "2", "2"]), RHO1_222),
+        (lambda: cli.main(["search", "rho1", "--triple", "2", "4", "6"]), RHO1_246),
+        (lambda: cli.main(["search", "p1xp1", "--n", "3"]), P1XP1_3_TEXT),
+        (lambda: cli.main(["search", "p1xp1", "--n", "3", "--format", "json"]), P1XP1_3_JSON),
+        (lambda: print(odd_rank_obstruction((1, 1, 3), 1).render()), PARITY_113_RANK1),
+        (lambda: print(odd_rank_obstruction((1, 1, 3), 2).render()), PARITY_113_RANK2),
+    ],
+    ids=["recipe_222", "recipe_246", "certificate_024", "rho1_222", "rho1_246",
+         "p1xp1_text", "p1xp1_json", "parity_rank1", "parity_rank2"],
+)
+def test_rendered_bytes(produce, expected, capsys):
+    assert produce() in (None, 0)
+    assert capsys.readouterr() == (expected, "")

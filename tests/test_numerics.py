@@ -278,12 +278,12 @@ def test_rank1_degree_equation_to_40():
 def test_odd_rank_obstruction_examples():
     v = odd_rank_obstruction((1, 1, 3), 1)
     assert v.status == "infeasible_parity"
-    assert "= -5" in v.trace[0].step
+    assert "= -5" in v.trace[0].text
     v = odd_rank_obstruction((1, 1, 3), 2)
     assert v.status == "not_applicable"
     v = odd_rank_obstruction((3, 3, 5), 3)
     assert v.status == "infeasible_parity"
-    assert "165" in v.trace[0].step
+    assert "165" in v.trace[0].text
     # vacuous on even covers at any rank
     for rank in (1, 2, 3):
         assert odd_rank_obstruction((2, 2, 2), rank).status == "not_applicable"
@@ -304,19 +304,19 @@ def test_odd_rank_obstruction_all_odd_ranks():
 def test_rank1_rho1_search_traces():
     v = rank1_rho1_search((2, 4, 6))
     assert v.status == "infeasible_search"
-    match = RESIDUAL.search(v.trace[-1].step)
+    match = RESIDUAL.search(v.trace[-1].text)
     assert match and int(match.group(1)) == 56
-    assert any("contradicting gcd(a, 4) = 1" in s.step for s in v.trace)
+    assert any("contradicting gcd(a, 4) = 1" in s.text for s in v.trace)
     assert all(s.cite == "Lemma 4.2" for s in v.trace)
 
     v = rank1_rho1_search((0, 2, 2))
-    match = RESIDUAL.search(v.trace[-1].step)
+    match = RESIDUAL.search(v.trace[-1].text)
     assert match and int(match.group(1)) == 8
 
     # q = 2 parity branch with odd a = n/2: n = 6 gives a = 3
     v = rank1_rho1_search((0, 2, 4))
-    assert any("congruent to a = 3 mod 2" in s.step for s in v.trace)
-    match = RESIDUAL.search(v.trace[-1].step)
+    assert any("congruent to a = 3 mod 2" in s.text for s in v.trace)
+    match = RESIDUAL.search(v.trace[-1].text)
     assert match and int(match.group(1)) == 20
 
     with pytest.raises(DomainError):
@@ -327,7 +327,7 @@ def test_rank1_rho1_search_residual_everywhere():
     for t in even_triples(30):
         v = rank1_rho1_search(t)
         assert v.status == "infeasible_search"
-        match = RESIDUAL.search(v.trace[-1].step)
+        match = RESIDUAL.search(v.trace[-1].text)
         assert match is not None, t
         value = int(match.group(1))
         assert value == t.n1**2 + t.n2**2 + t.n3**2
@@ -349,8 +349,8 @@ def test_p1xp1_line_search_examples():
     for n, disc in [(1, 2), (3, 10), (12, 145)]:
         v = p1xp1_line_search(n)
         assert v.status == "infeasible_search", n
-        assert any(f"n^2 + 1 = {disc} is not a perfect square" in s.step for s in v.trace)
-        assert any("0 solution(s)" in s.step for s in v.trace)
+        assert any(f"n^2 + 1 = {disc} is not a perfect square" in s.text for s in v.trace)
+        assert any("0 solution(s)" in s.text for s in v.trace)
     with pytest.raises(DomainError):
         p1xp1_line_search(0)
     with pytest.raises(DomainError):
@@ -362,14 +362,14 @@ def test_p1xp1_line_search_examples():
 def test_p1xp1_line_search_custom_bound():
     v = p1xp1_line_search(3, bound=20)
     assert v.status == "infeasible_search"
-    assert any("|a|, |b| <= 20" in s.step for s in v.trace)
+    assert any("|a|, |b| <= 20" in s.text for s in v.trace)
 
 
 def test_p1xp1_quadratic_coefficients_in_trace():
     v = p1xp1_line_search(3)
-    assert any("2a^2 - 8a + 3 = 0" in s.step for s in v.trace)
-    assert any("2a^2 - 16a + 12 = 0" in s.step for s in v.trace)
-    assert any("discriminant 4 m'^2 (n^2 + 1) = 40" in s.step for s in v.trace)
+    assert any("2a^2 - 8a + 3 = 0" in s.text for s in v.trace)
+    assert any("2a^2 - 16a + 12 = 0" in s.text for s in v.trace)
+    assert any("discriminant 4 m'^2 (n^2 + 1) = 40" in s.text for s in v.trace)
 
 
 def test_certificate_report():
@@ -389,7 +389,7 @@ def test_certificate_report():
     for label, value in expected.items():
         line = by_label[label]
         assert line.mode == "verified"
-        assert f"computed {value}," in line.detail
+        assert f"computed {value}," in line.text
     assert "Equalities (2.1)-(2.2)" in by_label
     assert by_label["h^0 vanishing"].mode == "paper-certified"
     rendered = report.render()
