@@ -142,13 +142,14 @@ def _line_bundle(
         quadric_n = n3 // 2
         # Every real root has 0 <= a, b <= 2(n + 1), so this box is exhaustive;
         # the scan raises ConsistencyError if it finds what the discriminant excludes.
-        _check_quadric(quadric_n, 2 * (quadric_n + 1))
+        _, blocks = _check_quadric(quadric_n, 2 * (quadric_n + 1))
+        # The m' = 1 block holds n + 1, n and n^2 + 1.
+        _, s, n, _, _, value, _ = blocks[0]
         return LineBundleStatus(
             status="impossible",
-            reason=f"a line bundle would descend to the quadric with a + b = "
-            f"{quadric_n + 1}m', 2ab = {quadric_n}m'^2; the discriminant needs "
-            f"{quadric_n}^2 + 1 = {quadric_n * quadric_n + 1} to be a perfect square, "
-            f"and it is not ({PROP_QUADRIC})",
+            reason=f"a line bundle would descend to the quadric with a + b = {s}m', "
+            f"2ab = {n}m'^2; the discriminant needs {n}^2 + 1 = {value} to be a "
+            f"perfect square, and it is not ({PROP_QUADRIC})",
             citations=(PROP_QUADRIC,),
         )
 

@@ -24,6 +24,7 @@ import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .citations import (
     PROP_INVARIANTS,
@@ -34,13 +35,12 @@ from .citations import (
 )
 from .classify import classify_triple
 from .construction import CBRecipe
-from .errors import ConsistencyError, DomainError, number_text
+from .errors import ConsistencyError, DomainError, number_text, tuple_text
 from .geometry import BranchTriple, validate_triple
-from .lattice import arithmetic_genus, brute_force_search, preset_lattice
+from .lattice import brute_force_search, pair, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
-    UlrichCandidate,
-    check_numerical_ulrich,
+    _quadric_bound,
     p1xp1_line_search,
     rank1_rho1_search,
 )
@@ -491,7 +491,7 @@ def cmd_search_rho1(args) -> int:
 
 def cmd_search_p1xp1(args) -> int:
     verdict = p1xp1_line_search(args.n, bound=args.bound)
-    bound = args.bound if args.bound is not None else 10 * (args.n + 1)
+    bound = _quadric_bound(args.n, args.bound)
     _print_verdict(
         verdict,
         {"search": "p1xp1", "n": args.n, "bound": bound},
@@ -511,45 +511,72 @@ def cmd_search_lattice(args) -> int:
         lat = preset_lattice(args.preset)
     bound = args.bound if args.bound is not None else 10 * (args.degree + 1)
     hits = brute_force_search(lat, bound, args.degree, args.selfint)
-    # Every hit has the degree and self-intersection searched for, and every
-    # preset carries chi.
+    described = _describe_hits(lat, hits, args.degree, args.selfint)
+    if args.format == "json":
+        print(_lattice_json(lat.describe(), bound, args.degree, args.selfint, described))
+    else:
+        lines = [
+            f"lattice search on {lat.describe()}: box bound {bound}, "
+            f"degree {args.degree}, self-intersection {args.selfint}",
+            f"{len(described)} hit(s)",
+        ]
+        lines += [
+            f"  {coords}, genus {genus}, rank-1 Ulrich equalities: {ulrich}"
+            for coords, genus, ulrich in described
+        ]
+        print("\n".join(lines))
+    return 0
+
+
+def _describe_hits(lat, hits, degree: int, selfint: int) -> list[tuple]:
+    """(coords, genus, rank1_ulrich) of each hit, the coords a plain tuple.
+
+    Every hit D has D.H = degree and D^2 = selfint, so one dot product per
+    hit, D.K, gives both the adjunction genus 1 + (D^2 + D.K)/2 and
+    Equality (2.2) at rank 1, D.K = D^2 - 2(H^2 - chi) with c2 = 0.
+    Equality (2.1) at rank 1, 2 D.H = 3H^2 + K.H, holds for every hit or
+    for none.  These are ``arithmetic_genus`` and ``check_numerical_ulrich``
+    with the per-query numbers taken out; every preset carries chi.  K is
+    characteristic on every preset, so D^2 + D.K is even, and an odd one
+    raises instead of printing a half-integer genus.
+    """
+    h_sq = pair(lat, lat.h, lat.h)
+    eq21 = 2 * degree == 3 * h_sq + pair(lat, lat.k, lat.h)
+    ulrich_dk = selfint - 2 * (h_sq - lat.chi)
+    gk = [sum(map(mul, row, lat.k)) for row in lat.gram]  # D.K = D . (G K)
     described = []
     for d in hits:
-        genus = arithmetic_genus(lat, d)
-        entry = {
-            "coords": list(d.coords),
-            "degree": args.degree,
-            "selfint": args.selfint,
-            "genus": int(genus) if genus.denominator == 1 else str(genus),
-            "rank1_ulrich": check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)),
-        }
-        described.append(entry)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "search": "lattice",
-                    "preset": lat.describe(),
-                    "bound": bound,
-                    "degree": args.degree,
-                    "selfint": args.selfint,
-                    "hits": described,
-                },
-                indent=2,
+        dk = sum(map(mul, gk, d))
+        twice_genus, odd = divmod(selfint + dk, 2)
+        if odd:
+            raise ConsistencyError(
+                f"D^2 + D.K = {number_text(selfint + dk)} is odd for D = {tuple_text(d)} "
+                f"on {lat.describe()}: K is not characteristic, and adjunction gives "
+                f"no integer genus"
             )
-        )
-    else:
-        print(
-            f"lattice search on {lat.describe()}: box bound {bound}, "
-            f"degree {args.degree}, self-intersection {args.selfint}"
-        )
-        print(f"{len(described)} hit(s)")
-        for entry in described:
-            print(
-                f"  {tuple(entry['coords'])}, genus {entry['genus']}, "
-                f"rank-1 Ulrich equalities: {entry['rank1_ulrich']}"
-            )
-    return 0
+        described.append((tuple(d), 1 + twice_genus, eq21 and dk == ulrich_dk))
+    return described
+
+
+def _lattice_json(preset: str, bound: int, degree: int, selfint: int, described) -> str:
+    """``json.dumps(..., indent=2)`` for a lattice search's fixed schema."""
+    head = (
+        f'{{\n  "search": "lattice",\n  "preset": {encode_basestring_ascii(preset)},\n'
+        f'  "bound": {bound},\n  "degree": {degree},\n  "selfint": {selfint},\n  "hits": '
+    )
+    if not described:
+        return head + "[]\n}"
+    # What follows the coordinates is the same for every hit up to the genus.
+    after_coords = (
+        f'\n      ],\n      "degree": {degree},\n      "selfint": {selfint},\n      "genus": '
+    )
+    sep = ",\n        "
+    hits = ",\n".join(
+        f'    {{\n      "coords": [\n        {sep.join(map(str, coords))}{after_coords}'
+        f'{genus},\n      "rank1_ulrich": {"true" if ulrich else "false"}\n    }}'
+        for coords, genus, ulrich in described
+    )
+    return f"{head}[\n{hits}\n  ]\n}}"
 
 
 _PRESET_SPECS = (

@@ -339,12 +339,16 @@ def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, i
     return out
 
 
+def _quadric_bound(n: int, bound: int | None) -> int:
+    """The box bound of the quadric scan: ``bound``, or 10(n + 1) if None."""
+    return 10 * (n + 1) if bound is None else bound
+
+
 def _check_quadric(n: int, bound: int | None = None) -> tuple:
     # Both routes of ``p1xp1_line_search``: n^2 + 1 is no square, and the
-    # box |a|, |b| <= bound (default 10(n + 1)) holds no root for m' = 1
+    # box |a|, |b| <= ``_quadric_bound(n, bound)`` holds no root for m' = 1
     # or 2.  Returns the bound and, per m', the numbers of its trace lines.
-    if bound is None:
-        bound = 10 * (n + 1)
+    bound = _quadric_bound(n, bound)
     if bound < 0:
         raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
     if 2 * bound + 1 > _CELL_CAP:

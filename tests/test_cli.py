@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import types
@@ -630,6 +631,24 @@ def test_search_p1xp1_text(capsys):
     )
 
 
+@pytest.mark.parametrize("bound_argv", [[], ["--bound", "5"]], ids=["default", "explicit"])
+def test_search_p1xp1_header_bound_is_the_trace_bound(bound_argv, capsys):
+    # The header and the trace's box line read the bound from one place.
+    argv = ["search", "p1xp1", "--n", "7", *bound_argv]
+    box = re.compile(r"brute-force cross-check over the box \|a\|, \|b\| <= (\d+): ")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = int(next(line for line in lines if line.startswith("bound: "))[len("bound: "):])
+    [traced] = [int(m.group(1)) for m in map(box.match, lines) if m]
+    assert header == traced == (int(bound_argv[1]) if bound_argv else 80)
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    [traced] = [int(m.group(1)) for s in payload["verdict"]["trace"] if (m := box.match(s["step"]))]
+    assert payload["bound"] == header == traced
+
+
 def test_search_lattice_text(capsys):
     code, out, _ = run(
         ["search", "lattice", "--preset", "delpezzo4", "--degree", "4", "--selfint", "2",
@@ -760,6 +779,127 @@ def test_search_lattice_hits_match_reference(preset_argv, lat, bound, queries, c
             )
             hits += 1
     assert hits
+
+
+def lattice_reference(lat, bound, degree, selfint):
+    """The ``search lattice --format json`` dict, built from the library's
+    reference functions, one pairing at a time."""
+    hits = []
+    for d in brute_force_search(lat, bound, degree, selfint):
+        genus = arithmetic_genus(lat, d)
+        assert genus.denominator == 1, (lat.describe(), d)
+        hits.append({
+            "coords": list(d),
+            "degree": pair(lat, d, lat.h),
+            "selfint": pair(lat, d, d),
+            "genus": int(genus),
+            "rank1_ulrich": check_numerical_ulrich(lat, UlrichCandidate(d, 0, 1)),
+        })
+    return {"search": "lattice", "preset": lat.describe(), "bound": bound,
+            "degree": degree, "selfint": selfint, "hits": hits}
+
+
+# Every query of LATTICE_QUERIES; an empty-hit query; and, on every preset
+# of rank >= 3, one mid-size box with many hits (hundreds from rank 4 up;
+# in rank <= 3 a target has few classes).
+LATTICE_BYTES_QUERIES = [
+    (preset_argv, lat, bound, degree, selfint)
+    for preset_argv, lat, bound, queries in LATTICE_QUERIES
+    for degree, selfint in queries
+] + [
+    (["--preset", "delpezzo4"], preset_lattice("delpezzo4"), 2, 3, 1000),
+    (["--preset", "k3_024"], preset_lattice("k3_024"), 8, 0, -196),
+    (["--preset", "delpezzo1"], preset_lattice("delpezzo1"), 2, 9, -23),
+    (["--preset", "delpezzo2"], preset_lattice("delpezzo2"), 3, 16, -2),
+    (["--preset", "delpezzo3"], preset_lattice("delpezzo3"), 3, 19, -15),
+    (["--preset", "delpezzo4"], preset_lattice("delpezzo4"), 8, 3, -217),
+    (["--preset", "delpezzo5"], preset_lattice("delpezzo5"), 3, 0, -14),
+    (["--preset", "delpezzo6"], preset_lattice("delpezzo6"), 12, 6, -100),
+    (["--preset", "delpezzo7"], preset_lattice("delpezzo7"), 40, 20, -784),
+]
+
+
+def test_search_lattice_bytes(capsys):
+    # Both formats, byte for byte, against json.dumps(indent=2) of the
+    # reference dict and the text lines written from it.  The queries hold
+    # hits of both Ulrich flags, and of hundreds of hits.
+    flags, sizes = set(), set()
+    for preset_argv, lat, bound, degree, selfint in LATTICE_BYTES_QUERIES:
+        ref = lattice_reference(lat, bound, degree, selfint)
+        argv = ["search", "lattice", *preset_argv, "--degree", str(degree),
+                "--selfint", str(selfint), "--bound", str(bound)]
+        text = "\n".join([
+            f"lattice search on {lat.describe()}: box bound {bound}, "
+            f"degree {degree}, self-intersection {selfint}",
+            f"{len(ref['hits'])} hit(s)",
+            *(f"  {tuple(h['coords'])}, genus {h['genus']}, "
+              f"rank-1 Ulrich equalities: {h['rank1_ulrich']}" for h in ref["hits"]),
+        ])
+        for fmt, expected in (("json", json.dumps(ref, indent=2)), ("text", text)):
+            code, out, err = run([*argv, "--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            assert out == expected + "\n", (argv, fmt)
+        flags.update(h["rank1_ulrich"] for h in ref["hits"])
+        sizes.add(len(ref["hits"]))
+    assert flags == {True, False}
+    assert 0 in sizes and max(sizes) >= 400
+
+
+PARITY_PRESETS = [lat for _, lat, _, _ in LATTICE_QUERIES] + [
+    preset_lattice("rank1_bidouble", t) for t in ((0, 2, 6), (2, 2, 2), (4, 4, 4))
+]
+
+
+@pytest.mark.parametrize("lat", PARITY_PRESETS, ids=[lat.name for lat in PARITY_PRESETS])
+def test_search_lattice_parity_on_every_preset(lat):
+    # D^2 + D.K mod 2 is additive in D, so its vanishing on the basis
+    # classes shows that the hit description's parity check passes on
+    # every class of the preset, and its genus is arithmetic_genus.
+    for i in range(lat.rank):
+        e = DivisorClass.basis(lat.rank, i)
+        [(coords, genus, ulrich)] = cli._describe_hits(
+            lat, [e], pair(lat, e, lat.h), pair(lat, e, e)
+        )
+        assert coords == tuple(e)
+        assert genus == arithmetic_genus(lat, e)
+        assert ulrich is check_numerical_ulrich(lat, UlrichCandidate(e, 0, 1))
+
+
+def test_search_lattice_odd_adjunction_exits_3(monkeypatch, capsys):
+    # With K = 0 on delpezzo9, the class L has L^2 + L.K = 1: no integer genus.
+    lat = preset_lattice("delpezzo9")
+    monkeypatch.setattr(cli, "preset_lattice", lambda *a: lat._replace(k=DivisorClass((0,))))
+    for fmt in ("text", "json"):
+        code, out, err = run(["search", "lattice", "--preset", "delpezzo9", "--degree", "3",
+                              "--selfint", "1", "--format", fmt], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "internal consistency failure: D^2 + D.K = 1 is odd for D = (1) on delpezzo9: "
+            "K is not characteristic, and adjunction gives no integer genus\n"
+        )
+
+
+def test_search_lattice_loads_no_fractions():
+    # The hit description does integer arithmetic: neither ``fractions`` nor
+    # the ``decimal`` it imports loads on the search path.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys; before = set(sys.modules); from bidouble.cli import main\n"
+        "for fmt in ('json', 'text'):\n"
+        "    code = main(['search', 'lattice', '--preset', 'delpezzo4', '--degree', '4',\n"
+        "                 '--selfint', '2', '--bound', '3', '--format', fmt])\n"
+        "    assert code == 0, code\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(new & {'fractions', 'decimal'}), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("30 hit(s)") == 1
+    assert result.stderr.strip() == "[]"
 
 
 def test_search_lattice_rejects_stray_triple(capsys):
@@ -982,6 +1122,20 @@ def test_batch_max30_bytes(fmt, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_MAX30_SHA256[fmt]
+
+
+# sha256 of `search lattice --preset delpezzo4 --degree 3 --selfint -217
+# --bound 8 --format json` stdout (855 hits); CI checks the installed CLI
+# against it.
+LATTICE_JSON_SHA256 = "000631798927a05f686b637e882a04db9a78f701c82681b3aaab5c0e5b76e88e"
+
+
+def test_search_lattice_json_digest(capsys):
+    code, out, err = run(["search", "lattice", "--preset", "delpezzo4", "--degree", "3",
+                          "--selfint", "-217", "--bound", "8", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["hits"]) == 855
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_JSON_SHA256
 
 
 def load_traced_cli():
