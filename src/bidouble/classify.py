@@ -95,48 +95,76 @@ class ComplexityVerdict(namedtuple("ComplexityVerdict", "kind value bounds trail
     __slots__ = ()
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConsistencyError(message)
+# The verdicts that do not depend on the row, one pair per branch of
+# ``_verdicts``.  A complexity trail is Thm. 1.2, then Cor. 4.3 on covers
+# with no line bundle, then the line-bundle citations, then Thm. 5.1 where
+# a recipe witnesses uc <= 2 (every even cover but (0,2,2)).
+_LB_ODD = LineBundleStatus(
+    status="impossible",
+    reason=f"odd covers admit no odd-rank Ulrich bundles, in particular no "
+    f"line bundles: 2 c1.K would be the odd integer n(n-6) ({LEM_ODD_RANK})",
+    citations=(LEM_ODD_RANK,),
+)
+_UC_ODD = ComplexityVerdict("lower_bound_only", None, (2, None), (THM_COMPLEXITY, LEM_ODD_RANK))
+_LB_024 = LineBundleStatus(
+    status="exists",
+    reason=f"certified line bundle on the K3-type cover: D = H + Gamma1 + "
+    f"E1' - E2' with D.H = 6, D^2 = 4 ({PROP_LOW_DEGREE})",
+    citations=(PROP_LOW_DEGREE,),
+)
+_UC_024 = ComplexityVerdict("exact", 1, None, (THM_COMPLEXITY, PROP_LOW_DEGREE, THM_RANK_TWO))
+_LB_022 = LineBundleStatus(
+    status="exists",
+    reason=f"the cover is a degree-4 del Pezzo surface and a conic class "
+    f"(D.H = 4, D^2 = 2) is an Ulrich line bundle ({PROP_LOW_DEGREE})",
+    citations=(PROP_LOW_DEGREE,),
+)
+_UC_022 = ComplexityVerdict("exact", 1, None, (THM_COMPLEXITY, PROP_LOW_DEGREE))
+_UC_QUADRIC = ComplexityVerdict(
+    "exact", 2, None, (THM_COMPLEXITY, COR_NO_LINE, PROP_QUADRIC, THM_RANK_TWO)
+)
+_LB_OPEN = LineBundleStatus(
+    status="open",
+    reason=f"the cover has Picard number > 1, so the rank-1 elimination does "
+    f"not apply, and no construction is certified either way "
+    f"({THM_LINE_RANGE}, {REM_OPEN})",
+    citations=(THM_LINE_RANGE, REM_OPEN),
+)
+_UC_OPEN = ComplexityVerdict("upper_bound", None, (1, 2), (THM_COMPLEXITY, THM_RANK_TWO, REM_OPEN))
+_LB_RHO_ONE = LineBundleStatus(
+    status="impossible",
+    reason=f"the cover has Picard number one ({THM_PICARD}) and the rank-1 "
+    f"elimination over c1 = (a/q)H closes every case ({LEM_RHO_ONE})",
+    citations=(LEM_RHO_ONE, THM_PICARD),
+)
+_UC_RHO_ONE = ComplexityVerdict(
+    "exact", 2, None, (THM_COMPLEXITY, COR_NO_LINE, LEM_RHO_ONE, THM_PICARD, THM_RANK_TWO)
+)
 
 
-def _line_bundle(
+def _verdicts(
     t: BranchTriple, inv: SurfaceInvariants, pic: PicardClassification
-) -> LineBundleStatus:
+) -> tuple[LineBundleStatus, ComplexityVerdict]:
     """Does the cover admit an Ulrich line bundle for the pulled-back
-    polarization?  Each branch re-runs the checks of the argument that
-    decides it."""
+    polarization, and what complexity follows?  Each branch re-runs the
+    checks of the argument that decides it."""
     n1, n2, n3 = t
 
     if not t.is_even:
-        _require(
-            _parity_product(t.n, 1)[1] % 2 == 1,
-            f"parity obstruction failed to fire on odd triple {tuple_text(t)} ({LEM_ODD_RANK})",
-        )
-        return LineBundleStatus(
-            status="impossible",
-            reason=f"odd covers admit no odd-rank Ulrich bundles, in particular no "
-            f"line bundles: 2 c1.K would be the odd integer n(n-6) ({LEM_ODD_RANK})",
-            citations=(LEM_ODD_RANK,),
-        )
+        if _parity_product(t.n, 1)[1] % 2 != 1:
+            raise ConsistencyError(
+                f"parity obstruction failed to fire on odd triple {tuple_text(t)} "
+                f"({LEM_ODD_RANK})"
+            )
+        return _LB_ODD, _UC_ODD
 
     if t == (0, 2, 4):
         _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
-        return LineBundleStatus(
-            status="exists",
-            reason=f"certified line bundle on the K3-type cover: D = H + Gamma1 + "
-            f"E1' - E2' with D.H = 6, D^2 = 4 ({PROP_LOW_DEGREE})",
-            citations=(PROP_LOW_DEGREE,),
-        )
+        return _LB_024, _UC_024
 
     if t == (0, 2, 2):
         _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
-        return LineBundleStatus(
-            status="exists",
-            reason=f"the cover is a degree-4 del Pezzo surface and a conic class "
-            f"(D.H = 4, D^2 = 2) is an Ulrich line bundle ({PROP_LOW_DEGREE})",
-            citations=(PROP_LOW_DEGREE,),
-        )
+        return _LB_022, _UC_022
 
     if (n1, n2) == (0, 2):
         quadric_n = n3 // 2
@@ -145,46 +173,20 @@ def _line_bundle(
         _, blocks = _check_quadric(quadric_n, 2 * (quadric_n + 1))
         # The m' = 1 block holds n + 1, n and n^2 + 1.
         _, s, n, _, _, value, _ = blocks[0]
-        return LineBundleStatus(
+        lb = LineBundleStatus(
             status="impossible",
             reason=f"a line bundle would descend to the quadric with a + b = {s}m', "
             f"2ab = {n}m'^2; the discriminant needs {n}^2 + 1 = {value} to be a "
             f"perfect square, and it is not ({PROP_QUADRIC})",
             citations=(PROP_QUADRIC,),
         )
+        return lb, _UC_QUADRIC
 
     if not pic.rho_is_one:
-        return LineBundleStatus(
-            status="open",
-            reason=f"the cover has Picard number > 1, so the rank-1 elimination does "
-            f"not apply, and no construction is certified either way "
-            f"({THM_LINE_RANGE}, {REM_OPEN})",
-            citations=(THM_LINE_RANGE, REM_OPEN),
-        )
+        return _LB_OPEN, _UC_OPEN
 
     _check_q1(t, inv)  # the rank-1 elimination's second route
-    return LineBundleStatus(
-        status="impossible",
-        reason=f"the cover has Picard number one ({THM_PICARD}) and the rank-1 "
-        f"elimination over c1 = (a/q)H closes every case ({LEM_RHO_ONE})",
-        citations=(LEM_RHO_ONE, THM_PICARD),
-    )
-
-
-def _complexity(t: BranchTriple, lb: LineBundleStatus, recipe) -> ComplexityVerdict:
-    # uc = 1 exactly where a line bundle exists; every other even cover has
-    # a verified recipe (only (0,2,2) lacks one), so uc <= 2 there.
-    if not t.is_even:
-        trail = (THM_COMPLEXITY,) + lb.citations
-        return ComplexityVerdict("lower_bound_only", None, (2, None), trail)
-    if lb.status == "exists":
-        witness = () if recipe is None else (THM_RANK_TWO,)
-        return ComplexityVerdict("exact", 1, None, (THM_COMPLEXITY,) + lb.citations + witness)
-    if lb.status == "open":
-        trail = (THM_COMPLEXITY, THM_RANK_TWO, REM_OPEN)
-        return ComplexityVerdict("upper_bound", None, (1, 2), trail)
-    trail = (THM_COMPLEXITY, COR_NO_LINE) + lb.citations + (THM_RANK_TWO,)
-    return ComplexityVerdict("exact", 2, None, trail)
+    return _LB_RHO_ONE, _UC_RHO_ONE
 
 
 class Classification(
@@ -201,19 +203,19 @@ def classify_triple(t) -> Classification:
     t = validate_triple(t)
     inv = invariants(t)
     pic = picard_classification(t)
-    lb = _line_bundle(t, inv, pic)
+    lb, uc = _verdicts(t, inv, pic)
     expected = "exists" if in_t2(t) else "open" if in_t1(t) else "impossible"
-    _require(
-        lb.status == expected,
-        f"line-bundle verdict {lb.status!r} on {tuple_text(t)} disagrees with the "
-        f"closed-form sets T1, T2, which give {expected!r} ({THM_COMPLEXITY})",
-    )
+    if lb.status != expected:
+        raise ConsistencyError(
+            f"line-bundle verdict {lb.status!r} on {tuple_text(t)} disagrees with the "
+            f"closed-form sets T1, T2, which give {expected!r} ({THM_COMPLEXITY})"
+        )
     recipe = None
     if t.is_even and t != (0, 2, 2):  # (0,2,2) has m = 2 < 3
         recipe = _build_recipe(t, inv)
         _check_special_c2(t, inv)
         _check_recipe(t, recipe, inv)
-    return Classification(t, inv, pic, lb, _complexity(t, lb, recipe), recipe)
+    return Classification(t, inv, pic, lb, uc, recipe)
 
 
 def line_bundle_status(t) -> LineBundleStatus:

@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import mul
 
@@ -33,7 +34,7 @@ from .citations import (
     THM_RANK_TWO,
     canonical_order,
 )
-from .classify import classify_triple
+from .classify import Classification, ComplexityVerdict, classify_triple
 from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError, number_text, tuple_text
 from .geometry import BranchTriple, validate_triple
@@ -53,7 +54,7 @@ _SIGNED = re.compile(r"[+-]?[0-9]+")
 # Longest number the CLI parses.  Derived values (K^2, chi, M) have up to
 # twice its digits, still under Python's 4300-digit int-to-str limit.
 MAX_DIGITS = 1000
-MAX_ENUMERATED_DEGREE = 100  # batch --max-degree: 45,475 rows, held in memory
+MAX_ENUMERATED_DEGREE = 100  # batch --max-degree: 45,475 records held, not their text
 
 CSV_COLUMNS = (
     "n1",
@@ -70,6 +71,7 @@ CSV_COLUMNS = (
     "recipe_deg_cprime",
     "z_count",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 EXCLUSION_NOTE = (
     f"rank-two recipe excluded for branch degrees (0,2,2): m = 2 there, and the "
@@ -113,7 +115,28 @@ def signed_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# query assembly
+# query assembly and rendering
+#
+# Every format is written straight from the ``Classification`` record.
+# ``query_payload`` is the same facts as a dict, for library callers; the
+# tests hold the renderers to ``json.dumps`` of it and to CSV cells read
+# off it.
+
+
+@cache
+def _citations(witness_cites: tuple, lb_cites: tuple, trail: tuple) -> tuple:
+    return canonical_order((PROP_INVARIANTS, THM_PICARD) + witness_cites + lb_cites + trail)
+
+
+def _row_citations(c: Classification) -> tuple:
+    """Every label the row cites, in registry order.  Rows share a few
+    citation sets, so each set is sorted once."""
+    witness_cites = tuple([w.cite for w in c.picard.witnesses])
+    return _citations(witness_cites, c.line_bundle.citations, c.complexity.trail)
+
+
+def _recipe_note(c: Classification) -> str | None:
+    return EXCLUSION_NOTE if c.recipe is None and c.triple.is_even else None
 
 
 def query_payload(t) -> dict:
@@ -125,13 +148,6 @@ def query_payload(t) -> dict:
     c = classify_triple(t)
     t, inv, pic = c.triple, c.invariants, c.picard
     lb, uc, recipe = c.line_bundle, c.complexity, c.recipe
-    recipe_note = EXCLUSION_NOTE if recipe is None and t.is_even else None
-
-    cited = {PROP_INVARIANTS, THM_PICARD}
-    cited.update(w.cite for w in pic.witnesses)
-    cited.update(lb.citations)
-    cited.update(uc.trail)
-
     return {
         "triple": {"n1": t.n1, "n2": t.n2, "n3": t.n3, "parity": t.parity},
         "generic": True,
@@ -165,30 +181,14 @@ def query_payload(t) -> dict:
             else {"low": uc.bounds[0], "high": uc.bounds[1]},
             "trail": list(uc.trail),
         },
-        "recipe": None if recipe is None else _recipe_payload(recipe),
-        "recipe_note": recipe_note,
-        "citations": list(canonical_order(cited)),
+        "recipe": None if recipe is None else recipe._asdict(),
+        "recipe_note": _recipe_note(c),
+        "citations": list(_row_citations(c)),
     }
 
 
-def _recipe_payload(r: CBRecipe) -> dict:
-    return {
-        "m": r.m,
-        "big_m": r.big_m,
-        "residue": r.residue,
-        "deg_e1": r.deg_e1,
-        "deg_c": r.deg_c,
-        "deg_cprime": r.deg_cprime,
-        "z_count": r.z_count,
-        "tangency_note": r.tangency_note,
-    }
-
-
-# ---------------------------------------------------------------------------
-# JSON rendering of query payloads
-#
-# json.dumps(..., indent=2) falls back to the stdlib's pure-Python encoder.
-# The payload schema is fixed, so one template per payload writes the same
+# JSON: json.dumps(..., indent=2) falls back to the stdlib's pure-Python
+# encoder.  The payload schema is fixed, so one template writes the same
 # bytes, with strings escaped by the stdlib's C encoder (ensure_ascii).
 
 
@@ -204,150 +204,128 @@ def _json_scalar(value) -> str:
     return str(value)
 
 
-def _json_strings(items: list, indent: str) -> str:
+def _json_strings(items: tuple, indent: str) -> str:
     if not items:
         return "[]"
     sep = f",\n{indent}  "
     return f"[\n{indent}  {sep.join(map(encode_basestring_ascii, items))}\n{indent}]"
 
 
-def _json_witnesses(witnesses: list) -> str:
+def _json_witnesses(witnesses: tuple) -> str:
     if not witnesses:
         return "[]"
     items = ",\n".join(
-        f'      {{\n        "pair": [\n          {w["pair"][0]},\n          {w["pair"][1]}\n'
-        f'        ],\n        "rho": {w["rho"]},\n'
-        f'        "cite": {encode_basestring_ascii(w["cite"])}\n      }}'
+        f'      {{\n        "pair": [\n          {w.a},\n          {w.b}\n'
+        f'        ],\n        "rho": {w.rho},\n'
+        f'        "cite": {encode_basestring_ascii(w.cite)}\n      }}'
         for w in witnesses
     )
     return f"[\n{items}\n    ]"
 
 
-def _json_recipe(r: dict | None) -> str:
+def _json_recipe(r: CBRecipe | None) -> str:
     if r is None:
         return "null"
     return (
-        f'{{\n    "m": {r["m"]},\n    "big_m": {r["big_m"]},\n'
-        f'    "residue": {r["residue"]},\n    "deg_e1": {r["deg_e1"]},\n'
-        f'    "deg_c": {r["deg_c"]},\n    "deg_cprime": {r["deg_cprime"]},\n'
-        f'    "z_count": {r["z_count"]},\n'
-        f'    "tangency_note": {_json_scalar(r["tangency_note"])}\n  }}'
+        f'{{\n    "m": {r.m},\n    "big_m": {r.big_m},\n'
+        f'    "residue": {r.residue},\n    "deg_e1": {r.deg_e1},\n'
+        f'    "deg_c": {r.deg_c},\n    "deg_cprime": {r.deg_cprime},\n'
+        f'    "z_count": {r.z_count},\n'
+        f'    "tangency_note": {_json_scalar(r.tangency_note)}\n  }}'
     )
 
 
-def render_query_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)`` for a ``query_payload`` dict."""
-    t, inv, pic = payload["triple"], payload["invariants"], payload["picard"]
-    lb, uc = payload["line_bundle"], payload["complexity"]
-    bounds = uc["bounds"]
+def _query_json(c: Classification, indent: str = "") -> str:
+    """``json.dumps(query_payload(t), indent=2)``, with ``indent`` before
+    every line but the first."""
+    t, inv, pic = c.triple, c.invariants, c.picard
+    lb, uc = c.line_bundle, c.complexity
     bounds_json = (
         "null"
-        if bounds is None
-        else f'{{\n      "low": {bounds["low"]},\n'
-        f'      "high": {_json_scalar(bounds["high"])}\n    }}'
+        if uc.bounds is None
+        else f'{{\n      "low": {uc.bounds[0]},\n'
+        f'      "high": {_json_scalar(uc.bounds[1])}\n    }}'
     )
+    text = (
+        f'{{\n  "triple": {{\n    "n1": {t.n1},\n    "n2": {t.n2},\n'
+        f'    "n3": {t.n3},\n    "parity": {encode_basestring_ascii(t.parity)}\n  }},\n'
+        f'  "generic": true,\n'
+        f'  "invariants": {{\n    "k_squared": {inv.k_squared},\n'
+        f'    "chi": {inv.chi},\n    "h_squared": {inv.h_squared},\n'
+        f'    "h_dot_k": {inv.h_dot_k},\n    "q": {inv.q},\n    "n": {inv.n},\n'
+        f'    "m": {_json_scalar(inv.m)},\n    "big_m": {_json_scalar(inv.big_m)}\n  }},\n'
+        f'  "picard": {{\n    "rho_is_one": {_json_scalar(pic.rho_is_one)},\n'
+        f'    "family": {_json_scalar(pic.family)},\n'
+        f'    "witnesses": {_json_witnesses(pic.witnesses)}\n  }},\n'
+        f'  "line_bundle": {{\n    "status": {encode_basestring_ascii(lb.status)},\n'
+        f'    "reason": {encode_basestring_ascii(lb.reason)},\n'
+        f'    "citations": {_json_strings(lb.citations, "    ")}\n  }},\n'
+        f'  "complexity": {{\n    "kind": {encode_basestring_ascii(uc.kind)},\n'
+        f'    "value": {_json_scalar(uc.value)},\n    "bounds": {bounds_json},\n'
+        f'    "trail": {_json_strings(uc.trail, "    ")}\n  }},\n'
+        f'  "recipe": {_json_recipe(c.recipe)},\n'
+        f'  "recipe_note": {_json_scalar(_recipe_note(c))},\n'
+        f'  "citations": {_json_strings(_row_citations(c), "  ")}\n}}'
+    )
+    return text.replace("\n", "\n" + indent) if indent else text
+
+
+def _uc_value_text(uc: ComplexityVerdict) -> str:
+    if uc.kind == "exact":
+        return str(uc.value)
+    if uc.kind == "upper_bound":
+        return f"{uc.bounds[0]}..{uc.bounds[1]}"
+    return f">={uc.bounds[0]}"
+
+
+def _csv_line(c: Classification) -> str:
+    """The row's CSV line, without its newline.  No cell holds a comma,
+    quote or newline, so no cell needs quoting."""
+    t, inv, r = c.triple, c.invariants, c.recipe
+    recipe = ",," if r is None else f"{r.deg_c},{r.deg_cprime},{r.z_count}"
     return (
-        f'{{\n  "triple": {{\n    "n1": {t["n1"]},\n    "n2": {t["n2"]},\n'
-        f'    "n3": {t["n3"]},\n    "parity": {encode_basestring_ascii(t["parity"])}\n  }},\n'
-        f'  "generic": {_json_scalar(payload["generic"])},\n'
-        f'  "invariants": {{\n    "k_squared": {inv["k_squared"]},\n'
-        f'    "chi": {inv["chi"]},\n    "h_squared": {inv["h_squared"]},\n'
-        f'    "h_dot_k": {inv["h_dot_k"]},\n    "q": {inv["q"]},\n    "n": {inv["n"]},\n'
-        f'    "m": {_json_scalar(inv["m"])},\n    "big_m": {_json_scalar(inv["big_m"])}\n  }},\n'
-        f'  "picard": {{\n    "rho_is_one": {_json_scalar(pic["rho_is_one"])},\n'
-        f'    "family": {_json_scalar(pic["family"])},\n'
-        f'    "witnesses": {_json_witnesses(pic["witnesses"])}\n  }},\n'
-        f'  "line_bundle": {{\n    "status": {encode_basestring_ascii(lb["status"])},\n'
-        f'    "reason": {encode_basestring_ascii(lb["reason"])},\n'
-        f'    "citations": {_json_strings(lb["citations"], "    ")}\n  }},\n'
-        f'  "complexity": {{\n    "kind": {encode_basestring_ascii(uc["kind"])},\n'
-        f'    "value": {_json_scalar(uc["value"])},\n    "bounds": {bounds_json},\n'
-        f'    "trail": {_json_strings(uc["trail"], "    ")}\n  }},\n'
-        f'  "recipe": {_json_recipe(payload["recipe"])},\n'
-        f'  "recipe_note": {_json_scalar(payload["recipe_note"])},\n'
-        f'  "citations": {_json_strings(payload["citations"], "  ")}\n}}'
+        f"{t.n1},{t.n2},{t.n3},{t.parity},{inv.k_squared},{inv.chi},"
+        f"{'false' if c.picard.rho_is_one else 'true'},{c.line_bundle.status},"
+        f"{c.complexity.kind},{_uc_value_text(c.complexity)},{recipe}"
     )
 
 
-def render_batch_json(payloads: list[dict]) -> str:
-    """``json.dumps(payloads, indent=2)`` for a list of ``query_payload`` dicts."""
-    if not payloads:
-        return "[]"
-    rows = ",\n  ".join(render_query_json(p).replace("\n", "\n  ") for p in payloads)
-    return f"[\n  {rows}\n]"
-
-
-def uc_value_text(complexity: dict) -> str:
-    if complexity["kind"] == "exact":
-        return str(complexity["value"])
-    if complexity["kind"] == "upper_bound":
-        return f"{complexity['bounds']['low']}..{complexity['bounds']['high']}"
-    return f">={complexity['bounds']['low']}"
-
-
-def csv_row(payload: dict) -> list[str]:
-    triple = payload["triple"]
-    inv = payload["invariants"]
-    recipe = payload["recipe"]
-    return [
-        str(triple["n1"]),
-        str(triple["n2"]),
-        str(triple["n3"]),
-        triple["parity"],
-        str(inv["k_squared"]),
-        str(inv["chi"]),
-        "false" if payload["picard"]["rho_is_one"] else "true",
-        payload["line_bundle"]["status"],
-        payload["complexity"]["kind"],
-        uc_value_text(payload["complexity"]),
-        "" if recipe is None else str(recipe["deg_c"]),
-        "" if recipe is None else str(recipe["deg_cprime"]),
-        "" if recipe is None else str(recipe["z_count"]),
-    ]
-
-
-def render_query_text(payload: dict) -> str:
-    triple = payload["triple"]
-    inv = payload["invariants"]
-    pic = payload["picard"]
-    lb = payload["line_bundle"]
-    uc = payload["complexity"]
+def _query_text(c: Classification) -> str:
+    t, inv, pic = c.triple, c.invariants, c.picard
+    lb, uc, recipe = c.line_bundle, c.complexity, c.recipe
     out = [
-        f"branch degrees ({triple['n1']}, {triple['n2']}, {triple['n3']})  "
-        f"[{triple['parity']} cover; generic branch curves]",
-        f"invariants: K^2 = {inv['k_squared']}, chi = {inv['chi']}, "
-        f"H^2 = {inv['h_squared']}, H.K = {inv['h_dot_k']}, q = {inv['q']}, "
-        f"n = {inv['n']}"
-        + ("" if inv["m"] is None else f", m = {inv['m']}, M = {inv['big_m']}"),
+        f"branch degrees ({t.n1}, {t.n2}, {t.n3})  "
+        f"[{t.parity} cover; generic branch curves]",
+        f"invariants: K^2 = {inv.k_squared}, chi = {inv.chi}, "
+        f"H^2 = {inv.h_squared}, H.K = {inv.h_dot_k}, q = {inv.q}, "
+        f"n = {inv.n}"
+        + ("" if inv.m is None else f", m = {inv.m}, M = {inv.big_m}"),
     ]
-    if pic["rho_is_one"]:
+    if pic.rho_is_one:
         out.append("picard: rho(S) = 1 (every intermediate double plane has rho = 1)")
     else:
         jumps = "; ".join(
-            f"pair ({w['pair'][0]}, {w['pair'][1]}) gives rho = {w['rho']} [{w['cite']}]"
-            for w in pic["witnesses"]
+            f"pair ({w.a}, {w.b}) gives rho = {w.rho} [{w.cite}]" for w in pic.witnesses
         )
-        out.append(f"picard: rho(S) > 1, family {pic['family']}: {jumps}")
-    out.append(f"line bundle: {lb['status']}")
-    out.append(f"  {lb['reason']}")
+        out.append(f"picard: rho(S) > 1, family {pic.family}: {jumps}")
+    out.append(f"line bundle: {lb.status}")
+    out.append(f"  {lb.reason}")
     out.append(
-        f"complexity: uc = {uc_value_text(uc)} ({uc['kind']})  "
-        f"[{', '.join(uc['trail'])}]"
+        f"complexity: uc = {_uc_value_text(uc)} ({uc.kind})  [{', '.join(uc.trail)}]"
     )
-    recipe = payload["recipe"]
     if recipe is not None:
         out.append(
-            f"rank-two recipe: E1 degree {recipe['deg_e1']}, C degree {recipe['deg_c']}, "
-            f"C' degree {recipe['deg_cprime']}, #Z = {recipe['z_count']} "
-            f"(M mod 4 = {recipe['residue']})"
+            f"rank-two recipe: E1 degree {recipe.deg_e1}, C degree {recipe.deg_c}, "
+            f"C' degree {recipe.deg_cprime}, #Z = {recipe.z_count} "
+            f"(M mod 4 = {recipe.residue})"
         )
-        if recipe["tangency_note"]:
-            out.append(f"  note: {recipe['tangency_note']}")
-    elif payload["recipe_note"]:
-        out.append(f"recipe: none ({payload['recipe_note']})")
+        if recipe.tangency_note:
+            out.append(f"  note: {recipe.tangency_note}")
+    elif t.is_even:
+        out.append(f"recipe: none ({EXCLUSION_NOTE})")
     else:
         out.append("recipe: none (odd cover)")
-    out.append(f"citations: {', '.join(payload['citations'])}")
+    out.append(f"citations: {', '.join(_row_citations(c))}")
     return "\n".join(out)
 
 
@@ -410,31 +388,25 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
 
 
 def cmd_classify(args) -> int:
-    t = validate_triple((args.n1, args.n2, args.n3))
-    payload = query_payload(t)
+    c = classify_triple(validate_triple((args.n1, args.n2, args.n3)))
     if args.format == "json":
-        print(render_query_json(payload))
+        print(_query_json(c))
     elif args.format == "csv":
-        print(_csv_text([payload]), end="")
+        print(f"{CSV_HEADER}\n{_csv_line(c)}")
     else:
-        print(render_query_text(payload))
+        print(_query_text(c))
     return 0
 
 
-def _csv_text(payloads: list[dict]) -> str:
-    # No cell holds a comma, quote or newline, so no cell needs quoting.
-    lines = [",".join(CSV_COLUMNS)] + [",".join(csv_row(p)) for p in payloads]
-    return "\n".join(lines + [""])
-
-
-def _batch_table_text(payloads: list[dict]) -> str:
-    rows = [list(CSV_COLUMNS)] + [csv_row(p) for p in payloads]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_COLUMNS))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines)
+def _write_table(records: list[Classification], write) -> None:
+    # Column widths need every row, so the cells are rendered twice
+    # rather than held.
+    widths = list(map(len, CSV_COLUMNS))
+    for c in records:
+        widths = list(map(max, widths, map(len, _csv_line(c).split(","))))
+    write("  ".join(map(str.ljust, CSV_COLUMNS, widths)).rstrip() + "\n")
+    for c in records:
+        write("  ".join(map(str.ljust, _csv_line(c).split(","), widths)).rstrip() + "\n")
 
 
 def cmd_batch(args) -> int:
@@ -448,13 +420,22 @@ def cmd_batch(args) -> int:
             return 2
     else:
         triples = enumerate_triples(args.max_degree)
-    payloads = [query_payload(t) for t in triples]
+    # Every row is classified, and every check run, before the first byte
+    # is written, so a failed check exits 3 with an empty stdout.
+    records = [classify_triple(t) for t in triples]
+    write = sys.stdout.write
     if args.format == "json":
-        print(render_batch_json(payloads))
+        sep = "[\n  "
+        for c in records:
+            write(sep + _query_json(c, "  "))
+            sep = ",\n  "
+        write("\n]\n" if records else "[]\n")
     elif args.format == "csv":
-        print(_csv_text(payloads), end="")
+        write(CSV_HEADER + "\n")
+        for c in records:
+            write(_csv_line(c) + "\n")
     else:
-        print(_batch_table_text(payloads))
+        _write_table(records, write)
     for diagnostic in diagnostics:
         print(f"skipped {diagnostic}", file=sys.stderr)
     return 2 if diagnostics else 0

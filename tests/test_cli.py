@@ -558,16 +558,91 @@ def test_batch_json_roundtrip(capsys):
     assert json.dumps(payloads, indent=2) + "\n" == out
 
 
-def test_json_writer_matches_stdlib():
-    payloads = [cli.query_payload(t) for t in cli.enumerate_triples(50)]
-    for payload in payloads:
-        assert cli.render_query_json(payload) == json.dumps(payload, indent=2)
-    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
-    assert cli.render_batch_json([]) == json.dumps([], indent=2)
-    with open(DATA / "triples.txt") as stream:
-        triples, _ = cli.parse_triples_file(stream)
-    payloads = [cli.query_payload(t) for t in triples]
-    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
+def payload_csv_cells(payload: dict) -> list[str]:
+    """The CSV cells of one row, read off its ``query_payload`` dict."""
+    triple, inv, recipe, uc = (
+        payload["triple"], payload["invariants"], payload["recipe"], payload["complexity"]
+    )
+    if uc["kind"] == "exact":
+        uc_value = str(uc["value"])
+    elif uc["kind"] == "upper_bound":
+        uc_value = f"{uc['bounds']['low']}..{uc['bounds']['high']}"
+    else:
+        uc_value = f">={uc['bounds']['low']}"
+    return [
+        str(triple["n1"]),
+        str(triple["n2"]),
+        str(triple["n3"]),
+        triple["parity"],
+        str(inv["k_squared"]),
+        str(inv["chi"]),
+        "false" if payload["picard"]["rho_is_one"] else "true",
+        payload["line_bundle"]["status"],
+        uc["kind"],
+        uc_value,
+        "" if recipe is None else str(recipe["deg_c"]),
+        "" if recipe is None else str(recipe["deg_cprime"]),
+        "" if recipe is None else str(recipe["z_count"]),
+    ]
+
+
+def test_json_writer_matches_stdlib(capsys):
+    # The renderers read the Classification record; query_payload is their
+    # reference, through json.dumps and through the CSV cells above.
+    sources = {"max50": cli.enumerate_triples(50)}
+    for name in ("triples.txt", "triples_bad.txt"):
+        with open(DATA / name) as stream:
+            sources[name], _ = cli.parse_triples_file(stream)
+    for triples in sources.values():
+        for t in triples:
+            c = classify_module.classify_triple(t)
+            payload = cli.query_payload(t)
+            text = json.dumps(payload, indent=2)
+            assert cli._query_json(c) == text
+            assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+            assert cli._csv_line(c).split(",") == payload_csv_cells(payload)
+    for name in ("triples.txt", "triples_bad.txt"):
+        triples, payloads = sources[name], [cli.query_payload(t) for t in sources[name]]
+        assert triples
+        _, out, _ = run(["batch", "--input", str(DATA / name), "--format", "json"], capsys)
+        assert out == json.dumps(payloads, indent=2) + "\n"
+        _, out, _ = run(["batch", "--input", str(DATA / name), "--format", "csv"], capsys)
+        assert out.splitlines() == [",".join(cli.CSV_COLUMNS)] + [
+            ",".join(payload_csv_cells(p)) for p in payloads
+        ]
+
+
+def test_batch_without_rows(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no triples\n")
+    _, out, _ = run(["batch", "--input", str(path), "--format", "json"], capsys)
+    assert out == json.dumps([], indent=2) + "\n"
+    _, out, _ = run(["batch", "--input", str(path), "--format", "csv"], capsys)
+    assert out == ",".join(cli.CSV_COLUMNS) + "\n"
+    _, out, _ = run(["batch", "--input", str(path)], capsys)
+    assert out.split() == list(cli.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_failed_batch_writes_nothing(fmt, monkeypatch, capsys):
+    # Every row is checked before the first byte is written: a check that
+    # fails on the last row leaves stdout empty.
+    last = cli.enumerate_triples(12)[-1]
+    real = classify_module._check_q1
+    checked = []
+
+    def check_q1(t, inv):
+        checked.append(t)
+        if t == last:
+            raise ConsistencyError(f"forced on the last row {t.as_tuple()}")
+        return real(t, inv)
+
+    monkeypatch.setattr(classify_module, "_check_q1", check_q1)
+    code, out, err = run(["batch", "--max-degree", "12", "--format", fmt], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal consistency failure: forced on the last row")
+    assert len(checked) > 1 and checked[-1] == last
 
 
 def test_batch_text_table(capsys):

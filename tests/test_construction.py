@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
-from bidouble.construction import CBRecipe, special_rank2_recipe, verify_recipe
+from bidouble.construction import CBRecipe, _build_recipe, special_rank2_recipe, verify_recipe
 from bidouble.errors import ConsistencyError, DomainError, ExcludedCaseError
-from bidouble.geometry import validate_triple
+from bidouble.geometry import invariants, validate_triple
 from bidouble.numerics import special_ulrich_targets
 
 
@@ -113,3 +115,17 @@ def test_recipe_invariants_to_60():
 def test_verify_report_title_names_triple():
     report = verify_recipe((2, 4, 6), special_rank2_recipe((2, 4, 6)))
     assert "(2, 4, 6)" in report.title
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [({"m": 2}, "m = 2 < 3 for a triple other than (0,2,2)"), ({"big_m": 51}, "M = 51 is odd")],
+    ids=["m_below_3", "odd_M"],
+)
+def test_build_recipe_guards_fire(change, needle):
+    # No admissible triple reaches either guard: every even triple but
+    # (0,2,2) has m >= 3, and M = m^2 + sum m_i^2 is even.  Patched
+    # invariants show that each still raises.
+    t = validate_triple((2, 4, 6))
+    with pytest.raises(ConsistencyError, match=re.escape(needle)):
+        _build_recipe(t, invariants(t)._replace(**change))

@@ -240,6 +240,12 @@ def test_preset_dispatch():
         preset_lattice("delpezzo")
 
 
+def test_parameterless_presets_refuse_parameters():
+    for name in ("p1xp1", "k3_024"):
+        with pytest.raises(DomainError, match=f"^{name} takes no parameters$"):
+            preset_lattice(name, 1)
+
+
 def test_delpezzo_degree_is_an_int():
     # Nothing is truncated or parsed: the degree is an int or a DomainError.
     for degree in (4.5, 4.0, "4", True, None):

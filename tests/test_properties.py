@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bidouble.cli as cli  # noqa: E402
+from bidouble.classify import classify_triple  # noqa: E402
 from bidouble.errors import DomainError  # noqa: E402
 from bidouble.geometry import validate_triple  # noqa: E402
 
@@ -72,6 +73,15 @@ def test_query_payload_permutation_invariant(t, order):
     assert cli.query_payload(permuted) == cli.query_payload(t)
 
 
+def uc_value_text(complexity: dict) -> str:
+    """The CSV uc_value cell, read off a payload's complexity dict."""
+    if complexity["kind"] == "exact":
+        return str(complexity["value"])
+    if complexity["kind"] == "upper_bound":
+        return f"{complexity['bounds']['low']}..{complexity['bounds']['high']}"
+    return f">={complexity['bounds']['low']}"
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(*[st.integers(0, 40)] * 3), min_size=1, max_size=15))
 def test_batch_json_and_csv_agree(triples):
@@ -89,6 +99,7 @@ def test_batch_json_and_csv_agree(triples):
             rejected += 1
     assert json_code == (2 if rejected else 0)
     payloads = json.loads(json_out)
+    assert json.dumps(payloads, indent=2) + "\n" == json_out
     rows = list(csv.DictReader(io.StringIO(csv_out)))
     assert [tuple(p["triple"][k] for k in ("n1", "n2", "n3")) for p in payloads] == sorted(valid)
     assert len(rows) == len(payloads)
@@ -100,7 +111,7 @@ def test_batch_json_and_csv_agree(triples):
         assert row["rho_gt_1"] == ("false" if payload["picard"]["rho_is_one"] else "true")
         assert row["line_bundle"] == payload["line_bundle"]["status"]
         assert row["uc_kind"] == payload["complexity"]["kind"]
-        assert row["uc_value"] == cli.uc_value_text(payload["complexity"])
+        assert row["uc_value"] == uc_value_text(payload["complexity"])
         if recipe is None:
             assert (row["recipe_deg_c"], row["recipe_deg_cprime"], row["z_count"]) == ("", "", "")
         else:
@@ -122,7 +133,15 @@ def large_admissible_triples(draw):
 @SETTINGS
 @given(st.lists(large_admissible_triples(), max_size=3))
 def test_json_writer_matches_stdlib(triples):
-    payloads = [cli.query_payload(t) for t in triples]
-    for payload in payloads:
-        assert cli.render_query_json(payload) == json.dumps(payload, indent=2)
-    assert cli.render_batch_json(payloads) == json.dumps(payloads, indent=2)
+    for t in triples:
+        text = json.dumps(cli.query_payload(t), indent=2)
+        c = classify_triple(t)
+        assert cli._query_json(c) == text
+        assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "triples.txt"
+        path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in triples))
+        code, out, err = run_cli(["batch", "--input", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    payloads = [cli.query_payload(t) for t in sorted(set(triples))]
+    assert out == json.dumps(payloads, indent=2) + "\n"
