@@ -167,10 +167,10 @@ def _verdicts(
         return _LB_022, _UC_022
 
     if (n1, n2) == (0, 2):
-        quadric_n = n3 // 2
-        # Every real root has 0 <= a, b <= 2(n + 1), so this box is exhaustive;
-        # the scan raises ConsistencyError if it finds what the discriminant excludes.
-        _, blocks = _check_quadric(quadric_n, 2 * (quadric_n + 1))
+        # The discriminant route, and bisection for the integer roots over
+        # [0, (n + 1)m'], which holds every real root; raises
+        # ConsistencyError if bisection finds what the discriminant excludes.
+        blocks = _check_quadric(n3 // 2)
         # The m' = 1 block holds n + 1, n and n^2 + 1.
         _, s, n, _, _, value, _ = blocks[0]
         lb = LineBundleStatus(

@@ -35,9 +35,8 @@ from .citations import (
     canonical_order,
 )
 from .classify import Classification, ComplexityVerdict, classify_triple
-from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError, number_text, tuple_text
-from .geometry import BranchTriple, validate_triple
+from .geometry import BranchTriple, PicardClassification, validate_triple
 from .lattice import brute_force_search, pair, preset_lattice
 from .numerics import (
     FeasibilityVerdict,
@@ -128,11 +127,10 @@ def _citations(witness_cites: tuple, lb_cites: tuple, trail: tuple) -> tuple:
     return canonical_order((PROP_INVARIANTS, THM_PICARD) + witness_cites + lb_cites + trail)
 
 
-def _row_citations(c: Classification) -> tuple:
-    """Every label the row cites, in registry order.  Rows share a few
-    citation sets, so each set is sorted once."""
-    witness_cites = tuple([w.cite for w in c.picard.witnesses])
-    return _citations(witness_cites, c.line_bundle.citations, c.complexity.trail)
+def _row_citations(pic: PicardClassification, lb_cites: tuple, trail: tuple) -> tuple:
+    """Every label a row with these verdicts cites, in registry order.
+    Rows share a few citation sets, so each set is sorted once."""
+    return _citations(tuple([w.cite for w in pic.witnesses]), lb_cites, trail)
 
 
 def _recipe_note(c: Classification) -> str | None:
@@ -183,13 +181,15 @@ def query_payload(t) -> dict:
         },
         "recipe": None if recipe is None else recipe._asdict(),
         "recipe_note": _recipe_note(c),
-        "citations": list(_row_citations(c)),
+        "citations": list(_row_citations(pic, lb.citations, uc.trail)),
     }
 
 
 # JSON: json.dumps(..., indent=2) falls back to the stdlib's pure-Python
-# encoder.  The payload schema is fixed, so one template writes the same
+# encoder.  The payload schema is fixed, so templates write the same
 # bytes, with strings escaped by the stdlib's C encoder (ensure_ascii).
+# Rows share a few verdicts: the text of each is written and indented
+# once, and a row writes only its own numbers and line-bundle reason.
 
 
 def _json_scalar(value) -> str:
@@ -202,6 +202,9 @@ def _json_scalar(value) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     return str(value)
+
+
+_json_string = cache(encode_basestring_ascii)  # for the few constant notes
 
 
 def _json_strings(items: tuple, indent: str) -> str:
@@ -223,51 +226,92 @@ def _json_witnesses(witnesses: tuple) -> str:
     return f"[\n{items}\n    ]"
 
 
-def _json_recipe(r: CBRecipe | None) -> str:
-    if r is None:
-        return "null"
-    return (
-        f'{{\n    "m": {r.m},\n    "big_m": {r.big_m},\n'
-        f'    "residue": {r.residue},\n    "deg_e1": {r.deg_e1},\n'
-        f'    "deg_c": {r.deg_c},\n    "deg_cprime": {r.deg_cprime},\n'
-        f'    "z_count": {r.z_count},\n'
-        f'    "tangency_note": {_json_scalar(r.tangency_note)}\n  }}'
-    )
-
-
-def _query_json(c: Classification, indent: str = "") -> str:
-    """``json.dumps(query_payload(t), indent=2)``, with ``indent`` before
-    every line but the first."""
-    t, inv, pic = c.triple, c.invariants, c.picard
-    lb, uc = c.line_bundle, c.complexity
+@cache
+def _json_verdicts(
+    pic: PicardClassification,
+    status: str,
+    lb_cites: tuple,
+    uc: ComplexityVerdict,
+    note: str | None,
+    indent: str,
+) -> tuple[str, str, str]:
+    """The JSON a row's verdicts fix, each line after the first prefixed
+    by ``indent``: from "picard" to the "reason" key, from the line-bundle
+    citations to the "recipe" key, and from "recipe_note" to the end."""
     bounds_json = (
         "null"
         if uc.bounds is None
         else f'{{\n      "low": {uc.bounds[0]},\n'
         f'      "high": {_json_scalar(uc.bounds[1])}\n    }}'
     )
-    text = (
-        f'{{\n  "triple": {{\n    "n1": {t.n1},\n    "n2": {t.n2},\n'
-        f'    "n3": {t.n3},\n    "parity": {encode_basestring_ascii(t.parity)}\n  }},\n'
-        f'  "generic": true,\n'
-        f'  "invariants": {{\n    "k_squared": {inv.k_squared},\n'
-        f'    "chi": {inv.chi},\n    "h_squared": {inv.h_squared},\n'
-        f'    "h_dot_k": {inv.h_dot_k},\n    "q": {inv.q},\n    "n": {inv.n},\n'
-        f'    "m": {_json_scalar(inv.m)},\n    "big_m": {_json_scalar(inv.big_m)}\n  }},\n'
+    head = (
         f'  "picard": {{\n    "rho_is_one": {_json_scalar(pic.rho_is_one)},\n'
         f'    "family": {_json_scalar(pic.family)},\n'
         f'    "witnesses": {_json_witnesses(pic.witnesses)}\n  }},\n'
-        f'  "line_bundle": {{\n    "status": {encode_basestring_ascii(lb.status)},\n'
-        f'    "reason": {encode_basestring_ascii(lb.reason)},\n'
-        f'    "citations": {_json_strings(lb.citations, "    ")}\n  }},\n'
+        f'  "line_bundle": {{\n    "status": {encode_basestring_ascii(status)},\n'
+        f'    "reason": '
+    )
+    middle = (
+        f',\n    "citations": {_json_strings(lb_cites, "    ")}\n  }},\n'
         f'  "complexity": {{\n    "kind": {encode_basestring_ascii(uc.kind)},\n'
         f'    "value": {_json_scalar(uc.value)},\n    "bounds": {bounds_json},\n'
         f'    "trail": {_json_strings(uc.trail, "    ")}\n  }},\n'
-        f'  "recipe": {_json_recipe(c.recipe)},\n'
-        f'  "recipe_note": {_json_scalar(_recipe_note(c))},\n'
-        f'  "citations": {_json_strings(_row_citations(c), "  ")}\n}}'
+        f'  "recipe": '
     )
-    return text.replace("\n", "\n" + indent) if indent else text
+    tail = (
+        f',\n  "recipe_note": {_json_scalar(note)},\n'
+        f'  "citations": {_json_strings(_row_citations(pic, lb_cites, uc.trail), "  ")}\n}}'
+    )
+    newline = "\n" + indent
+    return (
+        head.replace("\n", newline),
+        middle.replace("\n", newline),
+        tail.replace("\n", newline),
+    )
+
+
+@cache
+def _json_templates(indent: str) -> tuple[str, str]:
+    """The %-templates of a row's own numbers, from the opening brace to
+    "picard", and of its recipe, each line after the first prefixed by
+    ``indent``."""
+    numbers = (
+        '{\n  "triple": {\n    "n1": %d,\n    "n2": %d,\n    "n3": %d,\n'
+        '    "parity": "%s"\n  },\n  "generic": true,\n'
+        '  "invariants": {\n    "k_squared": %d,\n    "chi": %d,\n    "h_squared": %d,\n'
+        '    "h_dot_k": %d,\n    "q": %d,\n    "n": %d,\n    "m": %s,\n    "big_m": %s\n  },\n'
+    )
+    recipe = (
+        '{\n    "m": %d,\n    "big_m": %d,\n    "residue": %d,\n    "deg_e1": %d,\n'
+        '    "deg_c": %d,\n    "deg_cprime": %d,\n    "z_count": %d,\n'
+        '    "tangency_note": %s\n  }'
+    )
+    newline = "\n" + indent
+    return numbers.replace("\n", newline), recipe.replace("\n", newline)
+
+
+def _query_json(c: Classification, indent: str = "") -> str:
+    """``json.dumps(query_payload(t), indent=2)``, with ``indent`` before
+    every line but the first."""
+    t, inv, lb, r = c.triple, c.invariants, c.line_bundle, c.recipe
+    head, middle, tail = _json_verdicts(
+        c.picard, lb.status, lb.citations, c.complexity, _recipe_note(c), indent
+    )
+    numbers, recipe = _json_templates(indent)
+    recipe_json = "null"
+    if r is not None:
+        note = "null" if r.tangency_note is None else _json_string(r.tangency_note)
+        recipe_json = recipe % (
+            r.m, r.big_m, r.residue, r.deg_e1, r.deg_c, r.deg_cprime, r.z_count, note
+        )
+    numbers_json = numbers % (
+        t.n1, t.n2, t.n3, t.parity,
+        inv.k_squared, inv.chi, inv.h_squared, inv.h_dot_k, inv.q, inv.n,
+        "null" if inv.m is None else inv.m, "null" if inv.big_m is None else inv.big_m,
+    )
+    return "".join(
+        (numbers_json, head, encode_basestring_ascii(lb.reason), middle, recipe_json, tail)
+    )
 
 
 def _uc_value_text(uc: ComplexityVerdict) -> str:
@@ -325,7 +369,7 @@ def _query_text(c: Classification) -> str:
         out.append(f"recipe: none ({EXCLUSION_NOTE})")
     else:
         out.append("recipe: none (odd cover)")
-    out.append(f"citations: {', '.join(_row_citations(c))}")
+    out.append(f"citations: {', '.join(_row_citations(pic, lb.citations, uc.trail))}")
     return "\n".join(out)
 
 
@@ -341,8 +385,11 @@ def enumerate_triples(max_degree: int) -> list[BranchTriple]:
             f"--max-degree {number_text(max_degree)} is above the ceiling "
             f"{MAX_ENUMERATED_DEGREE}; pass a list of triples with --input for larger degrees"
         )
+    # The loops produce only admissible sorted triples, so no row is
+    # validated again.
+    make = BranchTriple._make
     return [
-        BranchTriple(n1, n2, n3)
+        make((n1, n2, n3))
         for n1 in range(max_degree + 1)
         for n2 in range(n1 if n1 else 2, max_degree + 1, 2)
         for n3 in range(n2, max_degree + 1, 2)
@@ -376,8 +423,9 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
                 f"line {lineno}: degrees must be unsigned integers, got {token!r}"
             )
             continue
+        degrees.sort()
         try:
-            triples.append(validate_triple(degrees))
+            triples.append(BranchTriple(*degrees))
         except DomainError as exc:
             diagnostics.append(f"line {lineno}: {exc}")
     return sorted(set(triples)), diagnostics
@@ -388,7 +436,7 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
 
 
 def cmd_classify(args) -> int:
-    c = classify_triple(validate_triple((args.n1, args.n2, args.n3)))
+    c = classify_triple((args.n1, args.n2, args.n3))
     if args.format == "json":
         print(_query_json(c))
     elif args.format == "csv":

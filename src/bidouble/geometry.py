@@ -72,17 +72,17 @@ class BranchTriple(namedtuple("BranchTriple", "n1 n2 n3")):
                 raise DomainError(f"branch degrees must be nonnegative, got {number_text(d)}")
         if not (n1 <= n2 <= n3):
             raise DomainError(f"branch degrees must be sorted, got {tuple_text(degrees)}")
-        if len({d % 2 for d in degrees}) != 1:
+        if not n1 % 2 == n2 % 2 == n3 % 2:
             raise ParityError(
                 f"branch degrees must share a parity for the cover to be smooth, "
                 f"got {tuple_text(degrees)} ({DEF_BIDOUBLE})"
             )
-        if sum(1 for d in degrees if d == 0) >= 2:
+        if n2 == 0:  # sorted and nonnegative: two zero degrees
             raise DisconnectedError(
                 f"at least two zero branch degrees disconnect the cover, "
                 f"got {tuple_text(degrees)} ({REM_CONNECTED})"
             )
-        return super().__new__(cls, n1, n2, n3)
+        return tuple.__new__(cls, degrees)
 
     @property
     def parity(self) -> str:
@@ -165,16 +165,7 @@ def invariants(triple) -> SurfaceInvariants:
         m = n // 2
         m1, m2, m3 = n1 // 2, n2 // 2, n3 // 2
         big_m = m * m + m1 * m1 + m2 * m2 + m3 * m3
-    return SurfaceInvariants(
-        k_squared=k_squared,
-        chi=chi,
-        h_squared=4,
-        h_dot_k=2 * (n - 6),
-        q=0,
-        n=n,
-        m=m,
-        big_m=big_m,
-    )
+    return SurfaceInvariants(k_squared, chi, 4, 2 * (n - 6), 0, n, m, big_m)
 
 
 class IntermediatePicard(namedtuple("IntermediatePicard", "a b rho rho_resolution cite")):
@@ -207,13 +198,19 @@ def intermediate_picard(a: int, b: int) -> IntermediatePicard:
         raise DomainError("intermediate branch curve cannot be empty")
 
     if a + b >= 6:
-        return IntermediatePicard(a, b, rho=1, rho_resolution=1 + a * b, cite=LEM_RESOLUTION)
+        return IntermediatePicard(a, b, _rho(a, b), 1 + a * b, LEM_RESOLUTION)
+    return IntermediatePicard(a, b, _rho(a, b), 8 if a + b == 4 else None, PROP_PAIRS)
+
+
+def _rho(a: int, b: int) -> int:
+    """rho(Y) for an admissible pair a <= b: 1 for a + b >= 6, 8 - ab for
+    a + b = 4, and for a + b = 2, 1 on the plane (1,1) and 2 on the
+    quadric (0,2)."""
+    if a + b >= 6:
+        return 1
     if a + b == 4:
-        return IntermediatePicard(a, b, rho=8 - a * b, rho_resolution=8, cite=PROP_PAIRS)
-    # a + b == 2: (1,1) is the plane again, (0,2) is the quadric.
-    if (a, b) == (1, 1):
-        return IntermediatePicard(a, b, rho=1, rho_resolution=None, cite=PROP_PAIRS)
-    return IntermediatePicard(a, b, rho=2, rho_resolution=None, cite=PROP_PAIRS)
+        return 8 - a * b
+    return 2 if a == 0 else 1
 
 
 # Sorted-triple membership tests for the four jump families (Thm. 1.1).
@@ -256,20 +253,14 @@ def picard_classification(triple) -> PicardClassification:
     """
     t = validate_triple(triple)
     n1, n2, n3 = t
-    witnesses = []
-    for a, b in ((n2, n3), (n1, n3), (n1, n2)):
-        y = intermediate_picard(a, b)
-        if y.rho > 1:
-            witnesses.append(y)
-    rho_is_one = not witnesses
+    # Only a pair that jumps gets its record.
+    witnesses = tuple(
+        [intermediate_picard(a, b) for a, b in ((n2, n3), (n1, n3), (n1, n2)) if _rho(a, b) > 1]
+    )
     family = picard_jump_family(t)
-    if rho_is_one != (family is None):
+    if (not witnesses) != (family is None):
         raise ConsistencyError(
             f"pairwise rho test ({LEM_INTERMEDIATE}, {COR_PICARD}) and family list "
             f"({THM_PICARD}) disagree on {tuple_text(t)}"
         )
-    return PicardClassification(
-        rho_is_one=rho_is_one,
-        witnesses=tuple(witnesses),
-        family=family,
-    )
+    return PicardClassification(not witnesses, witnesses, family)

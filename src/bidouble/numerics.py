@@ -19,7 +19,8 @@ the case analyses that rule line bundles out on bidouble planes:
   a line bundle O(a,b) pushed through the norm construction must satisfy
   a + b = (n+1)m' and 2ab = nm'^2 for some m' in {1,2}; the discriminant
   of the resulting quadratic is 4m'^2(n^2+1), and n^2+1 is never a
-  perfect square for n >= 1.
+  perfect square for n >= 1.  Bisection for integer roots cross-checks
+  it, and ``search p1xp1`` adds a scan of an explicit box.
 
 Every verdict carries a step-by-step trace with statement citations so the
 eliminations can be audited line by line.  No verdict carries candidates:
@@ -329,6 +330,25 @@ def is_perfect_square(value: int) -> bool:
     return r * r == value
 
 
+def _quadric_roots(s: int, target: int) -> list[int]:
+    # The integer roots a of f(a) = 2a(s - a) - target, target > 0, by
+    # bisection.  f < 0 outside [0, s], and on the integers f increases on
+    # [0, s // 2] and decreases on [s // 2 + 1, s], so each branch holds at
+    # most one root: the least a where f, or -f, turns nonnegative.  Only f
+    # and its monotonicity are used, no square root.
+    roots = []
+    for lo, hi, sign in ((0, s // 2, 1), (s // 2 + 1, s, -1)):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * (2 * mid * (s - mid) - target) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == hi and 2 * lo * (s - lo) == target:
+            roots.append(lo)
+    return roots
+
+
 def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, int]]:
     # a + b = s pins b once a is chosen, so the box scan is linear.
     out = []
@@ -340,28 +360,29 @@ def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, i
 
 
 def _quadric_bound(n: int, bound: int | None) -> int:
-    """The box bound of the quadric scan: ``bound``, or 10(n + 1) if None."""
+    """The box bound of ``search p1xp1``: ``bound``, or 10(n + 1) if None."""
     return 10 * (n + 1) if bound is None else bound
 
 
-def _check_quadric(n: int, bound: int | None = None) -> tuple:
-    # Both routes of ``p1xp1_line_search``: n^2 + 1 is no square, and the
-    # box |a|, |b| <= ``_quadric_bound(n, bound)`` holds no root for m' = 1
-    # or 2.  Returns the bound and, per m', the numbers of its trace lines.
-    bound = _quadric_bound(n, bound)
-    if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
-    if 2 * bound + 1 > _CELL_CAP:
-        raise DomainError(
-            f"quadric box scan at bound {number_text(bound)} has "
-            f"{number_text(2 * bound + 1)} values of a, "
-            f"over the cap of {_CELL_CAP}"
-        )
+def _check_quadric(n: int, bound: int | None = None) -> list:
+    # The routes of the quadric argument: n^2 + 1 is no square, and
+    # bisection finds no integer root for m' = 1 or 2.  With a ``bound``,
+    # the box |a|, |b| <= bound is scanned too, as ``search p1xp1``
+    # replays it.  Returns, per m', the numbers of its trace lines.
+    if bound is not None:
+        if bound < 0:
+            raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
+        if 2 * bound + 1 > _CELL_CAP:
+            raise DomainError(
+                f"quadric box scan at bound {number_text(bound)} has "
+                f"{number_text(2 * bound + 1)} values of a, "
+                f"over the cap of {_CELL_CAP}"
+            )
     value = n * n + 1
     if is_perfect_square(value):
         raise ConsistencyError(
-            f"n^2 + 1 = {value} tested as a perfect square, but n^2 < n^2 + 1 < "
-            f"(n + 1)^2 for n = {n} ({PROP_QUADRIC})"
+            f"n^2 + 1 = {number_text(value)} tested as a perfect square, but n^2 < n^2 + 1 "
+            f"< (n + 1)^2 for n = {number_text(n)} ({PROP_QUADRIC})"
         )
     root = isqrt(value)
     blocks = []
@@ -369,14 +390,22 @@ def _check_quadric(n: int, bound: int | None = None) -> tuple:
     for mprime in (1, 2):
         s, target = (n + 1) * mprime, n * mprime * mprime
         blocks.append((mprime, s, target, 2 * s, 4 * mprime * mprime * value, value, root))
-        box_solutions += _quadric_box_solutions(s, target, bound)
+        roots = _quadric_roots(s, target)
+        if roots:
+            raise ConsistencyError(
+                f"quadric discriminant route leaves no integer root for n = "
+                f"{number_text(n)}, but bisection finds a = {number_text(roots[0])} "
+                f"for m' = {mprime} ({PROP_QUADRIC})"
+            )
+        if bound is not None:
+            box_solutions += _quadric_box_solutions(s, target, bound)
     if box_solutions:
         raise ConsistencyError(
             f"quadric discriminant route leaves no integer root for n = {n}, but the box "
             f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
             f"{box_solutions[0]} ({PROP_QUADRIC})"
         )
-    return bound, blocks
+    return blocks
 
 
 # Trace templates of ``p1xp1_line_search``, each filled from one m' block
@@ -401,15 +430,18 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     the conditions are a + b = (n+1)m' and 2ab = nm'^2, giving the
     quadratic 2a^2 - 2m'(n+1)a + m'^2 n = 0 with discriminant
     4m'^2 (n^2 + 1).  Integer solutions need n^2 + 1 to be a perfect
-    square, which fails for every n >= 1.  A brute-force scan of the box
-    |a|, |b| <= bound (default 10(n+1)) must find no solution either; every
-    real root has 0 <= a, b <= m'(n+1), so any bound >= 2(n+1) makes the
-    scan exhaustive.  Boxes of more than 10^8 values of a are refused, as
-    lattice boxes are.
+    square, which fails for every n >= 1.  Every real root has
+    0 <= a, b <= m'(n+1), and bisection on the two monotone branches of
+    the quadratic over that range finds no integer root either; this is
+    the route ``classify`` runs.  A brute-force scan of the box
+    |a|, |b| <= bound (default 10(n+1)) must find no solution as well, and
+    any bound >= 2(n+1) makes it exhaustive.  Boxes of more than 10^8
+    values of a are refused, as lattice boxes are.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"quadric parameter n must be a positive integer, got {number_text(n)}")
-    bound, blocks = _check_quadric(n, bound)
+    bound = _quadric_bound(n, bound)
+    blocks = _check_quadric(n, bound)
     trace = [
         CitedLine(template.format(*numbers), cite)
         for numbers in blocks

@@ -221,24 +221,30 @@ def test_each_argument_runs_once_per_row(monkeypatch):
 
 
 def test_quadric_box_in_classify_is_exhaustive(monkeypatch):
-    # The real roots of 2a^2 - 2m'(n+1)a + m'^2 n lie in [0, m'(n+1)], so
-    # classify scans |a|, |b| <= 2(n+1), not the default 10(n+1).
+    # classify bisects 2a(s - a) = target over [0, s], s = (n+1)m', for
+    # m' = 1 and 2; every real root of 2a^2 - 2m'(n+1)a + m'^2 n lies there.
     seen = []
-    real = classify_module._check_quadric
+    real = numerics_module._quadric_roots
 
-    def spy(n, bound):
-        seen.append((n, bound))
-        return real(n, bound)
+    def spy(s, target):
+        seen.append((s, target))
+        return real(s, target)
 
-    monkeypatch.setattr(classify_module, "_check_quadric", spy)
+    monkeypatch.setattr(numerics_module, "_quadric_roots", spy)
     classify_triple((0, 2, 10))
-    assert seen == [(5, 12)]
+    assert seen == [(6, 5), (12, 20)]
     for n in range(1, 200):
         for mprime in (1, 2):
             for sign in (1, -1):
                 root = mprime * ((n + 1) + sign * (n * n + 1) ** 0.5) / 2
-                assert 0 <= root <= 2 * (n + 1)
-                assert 0 <= (n + 1) * mprime - root <= 2 * (n + 1)
+                assert 0 <= root <= (n + 1) * mprime
+
+
+def test_parity_obstruction_fires(monkeypatch):
+    # An even product 2 c1.K on an odd cover would break the argument.
+    monkeypatch.setattr(classify_module, "_parity_product", lambda n, rank: (n - 6, 0))
+    with pytest.raises(ConsistencyError, match=r"failed to fire on odd triple \(1, 1, 1\)"):
+        classify_triple((1, 1, 1))
 
 
 def test_delpezzo_witness_fires(monkeypatch):

@@ -19,7 +19,7 @@ import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
 from bidouble.construction import special_rank2_recipe, verify_recipe
 from bidouble.errors import ConsistencyError, DomainError, number_text
-from bidouble.geometry import BranchTriple, intermediate_picard
+from bidouble.geometry import BranchTriple, intermediate_picard, validate_triple
 from bidouble.lattice import (
     DivisorClass,
     arithmetic_genus,
@@ -191,17 +191,23 @@ def test_enumerate_triples_small():
 
 
 def test_enumerate_triples_matches_definition():
-    # admissible: sorted, one shared parity, at most one zero degree
-    for max_degree in range(13):
-        expected = [
-            (n1, n2, n3)
-            for n1 in range(max_degree + 1)
-            for n2 in range(n1, max_degree + 1)
-            for n3 in range(n2, max_degree + 1)
-            if n1 % 2 == n2 % 2 == n3 % 2 and (n1, n2) != (0, 0)
-        ]
-        got = [t.as_tuple() for t in cli.enumerate_triples(max_degree)]
-        assert got == expected, max_degree
+    # admissible: sorted, one shared parity, at most one zero degree.  The
+    # rows skip BranchTriple's checks, so each must also be the record
+    # validate_triple builds.  Every degree to 30 and both parities at the
+    # ceiling; all 101 degrees would take seconds.
+    top = cli.MAX_ENUMERATED_DEGREE
+    brute = [
+        (n1, n2, n3)
+        for n1 in range(top + 1)
+        for n2 in range(n1, top + 1)
+        for n3 in range(n2, top + 1)
+        if n1 % 2 == n2 % 2 == n3 % 2 and (n1, n2) != (0, 0)
+    ]
+    assert cli.enumerate_triples(top) == [validate_triple(t) for t in brute]
+    for max_degree in [*range(31), top - 1, top]:
+        got = cli.enumerate_triples(max_degree)
+        assert all(type(t) is BranchTriple for t in got)
+        assert got == [t for t in brute if t[2] <= max_degree], max_degree
 
 
 def test_batch_max_degree_ceiling(capsys):
@@ -255,7 +261,6 @@ NINES = "9" * 1000
         ["search", "lattice", "--preset", "k3_024", "--degree", "1", "--selfint", "1",
          "--bound", NINES],
         ["search", "p1xp1", "--n", "5", "--bound", NINES],
-        ["classify", "0", "2", NINES[:999] + "8"],
         ["batch", "--max-degree", NINES],
         ["classify", "2", "4", NINES],
         ["search", "rho1", "--triple", "1", "1", NINES],
@@ -263,8 +268,7 @@ NINES = "9" * 1000
          "--degree", "1", "--selfint", "1"],
     ],
     ids=["lattice_bound", "lattice_default_bound", "lattice_bound_k3", "p1xp1_bound",
-         "classify_quadric", "batch_max_degree", "classify_parity", "rho1_odd",
-         "lattice_rank1_odd"],
+         "batch_max_degree", "classify_parity", "rho1_odd", "lattice_rank1_odd"],
 )
 def test_oversized_value_refused_in_one_short_line(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -325,9 +329,6 @@ def test_library_refusal_names_long_number_by_digit_count(call):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["classify", "0", "2", "200000000"],
-         "quadric box scan at bound 200000002 has 400000005 values of a, "
-         "over the cap of 100000000"),
         (["search", "lattice", "--preset", "delpezzo1", "--degree", "3", "--selfint", "1",
           "--bound", "10"],
          "search box has 794280046581 cells at rank 9, bound 10; "
@@ -343,7 +344,7 @@ def test_library_refusal_names_long_number_by_digit_count(call):
          "search box has at least <a number of 480 digits> cells at rank 9, "
          "bound <a number of 479 digits>; the cap is 100000000, pass a smaller bound"),
     ],
-    ids=["classify_quadric", "lattice_rank9", "lattice_side_over_cap", "lattice_long_side"],
+    ids=["lattice_rank9", "lattice_side_over_cap", "lattice_long_side"],
 )
 def test_refusal_message_bytes(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -353,12 +354,12 @@ def test_refusal_message_bytes(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["classify", "0", "2", "200000000"],
         ["search", "p1xp1", "--n", "3", "--bound", "1000000000"],
     ],
-    ids=["classify", "search_p1xp1"],
+    ids=["search_p1xp1"],
 )
 def test_quadric_box_cap(argv, capsys):
+    # search p1xp1 replays the explicit box scan, so it keeps the cap.
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -366,13 +367,19 @@ def test_quadric_box_cap(argv, capsys):
     assert "cap" in err
 
 
-def test_quadric_box_cap_in_classify_names_no_option(capsys):
-    # classify takes no bound, so its refusal must not advise passing one.
-    code, _, err = run(["classify", "0", "2", "200000000"], capsys)
-    assert code == 2
-    assert "cap" in err
-    assert "--bound" not in err
-    assert "smaller bound" not in err
+@pytest.mark.parametrize(
+    "n3",
+    ["200000000", NINES[:998] + "8"],
+    ids=["n3_200000000", "n3_999_digits"],
+)
+def test_classify_large_quadric_answers(n3, capsys):
+    # classify checks the quadric by bisection, which has no box and no
+    # cap: every (0,2,2n) is classified, whatever the size of n.
+    code, out, err = run(["classify", "0", "2", n3, "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert row.startswith(f"0,2,{n3},even,")
+    assert ",impossible,exact,2," in row
 
 
 def test_batch_input_clean(capsys):
@@ -398,13 +405,14 @@ def test_batch_input_bad(capsys):
     assert code == 2
     rows = out.splitlines()[1:]
     assert [r.split(",")[:3] for r in rows] == [["0", "2", "2"], ["2", "4", "6"]]
-    skipped = [line for line in err.splitlines() if line.startswith("skipped line")]
-    assert len(skipped) == 4
-    assert skipped[0].startswith("skipped line 3:")
-    assert "Remark after Prop. 2.8" in skipped[0]
-    assert "Def. 2.7" in skipped[1]
-    assert "expected three degrees" in skipped[2]
-    assert "unsigned integers" in skipped[3]
+    assert err == (
+        "skipped line 3: at least two zero branch degrees disconnect the cover, "
+        "got (0, 0, 2) (Remark after Prop. 2.8)\n"
+        "skipped line 4: branch degrees must share a parity for the cover to be smooth, "
+        "got (1, 2, 3) (Def. 2.7)\n"
+        "skipped line 5: expected three degrees, got 2\n"
+        "skipped line 6: degrees must be unsigned integers, got 'x'\n"
+    )
 
 
 def test_batch_input_oversized_token(capsys, tmp_path):
@@ -1115,6 +1123,15 @@ def shift_chi(module):
     return patch
 
 
+def plant_quadric_root(monkeypatch):
+    """Hand the bisection a target with the integer root a = 1, as a
+    broken discriminant route would leave one."""
+    real = numerics_module._quadric_roots
+    monkeypatch.setattr(
+        numerics_module, "_quadric_roots", lambda s, target: real(s, 2 * (s - 1))
+    )
+
+
 @pytest.mark.parametrize(
     "patch, argv, needle",
     [
@@ -1130,6 +1147,7 @@ def shift_chi(module):
             ["search", "p1xp1", "--n", "3"],
             "box",
         ),
+        (plant_quadric_root, ["classify", "0", "2", "6"], "but bisection finds a = 1 for m' = 1"),
         (shift_chi(numerics_module), ["search", "rho1", "--triple", "2", "4", "6"],
          "q = 1 reduction"),
         (shift_chi(classify_module), ["classify", "2", "4", "6"], "q = 1 reduction"),
@@ -1166,6 +1184,7 @@ def shift_chi(module):
     ids=[
         "discriminant",
         "quadric_box",
+        "quadric_bisection",
         "rho1_q1",
         "classify_q1",
         "special_c2",

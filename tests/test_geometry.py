@@ -132,6 +132,13 @@ def test_noether_route_fires(monkeypatch):
         invariants((2, 4, 6))
 
 
+def test_chi_integrality_check_fires():
+    # Mixed parities make chi_num odd; ``_make`` skips the validation that
+    # keeps such a triple out, so only the integrality check stands.
+    with pytest.raises(ConsistencyError, match=r"non-integer for \(1, 2, 3\): 5/4"):
+        invariants(BranchTriple._make((1, 2, 3)))
+
+
 def test_intermediate_picard_table():
     assert intermediate_picard(0, 2).rho == 2
     assert intermediate_picard(0, 4).rho == 8

@@ -421,6 +421,42 @@ def test_quadric_box_cross_check_fires(monkeypatch):
         p1xp1_line_search(3)
 
 
+def test_quadric_bisection_matches_full_scan():
+    # Random (s, target) pairs, 40% with a planted root a0, against a scan
+    # of every a in [0, s]: f(a) = 2a(s - a) - target is negative outside.
+    rng = random.Random(17)
+    for _ in range(400):
+        s = rng.randint(1, 600)
+        if rng.random() < 0.4:
+            a0 = rng.randint(1, s - 1) if s > 1 else 1
+            target = 2 * a0 * (s - a0)
+        else:
+            target = rng.randint(1, s * s)
+        if target <= 0:
+            continue
+        scan = [a for a in range(s + 1) if 2 * a * (s - a) == target]
+        assert numerics_module._quadric_roots(s, target) == scan, (s, target)
+
+
+def test_quadric_bisection_on_300_digits():
+    n = 10**299 + 7
+    for mprime in (1, 2):
+        s = (n + 1) * mprime
+        assert numerics_module._quadric_roots(s, n * mprime * mprime) == []
+        a0 = s // 3
+        assert numerics_module._quadric_roots(s, 2 * a0 * (s - a0)) == [a0, s - a0]
+
+
+def test_quadric_bisection_fires(monkeypatch):
+    # Plant the integer root a = 1: the real bisection must find it.
+    real = numerics_module._quadric_roots
+    monkeypatch.setattr(numerics_module, "_quadric_roots", lambda s, target: real(s, 2 * (s - 1)))
+    with pytest.raises(ConsistencyError, match="but bisection finds a = 1 for m' = 1"):
+        classify_triple((0, 2, 6))
+    with pytest.raises(ConsistencyError, match="but bisection finds a = 1 for m' = 1"):
+        p1xp1_line_search(3)
+
+
 def shift_chi(monkeypatch):
     real = numerics_module.invariants
     monkeypatch.setattr(

@@ -21,7 +21,7 @@ from bidouble.geometry import validate_triple  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
-# 1-4 digits keep every quadric box small; 1001-1100 digits cross the ceiling.
+# 1-4 digits are classified; 1001-1100 digits cross the ceiling.
 number = st.builds(
     str.__add__,
     st.sampled_from(["", "", "", "+", "-"]),
@@ -54,6 +54,24 @@ def test_digit_argv_exits_0_or_2(command, degrees):
     if code == 2:
         assert out == ""
         assert len(err.splitlines()[-1]) < 200
+
+
+# (0,2,2n) with n >= 3 of 1 to 299 digits, so n3 = 2n has up to 300, in
+# any order.  The digit count is drawn first, so long numbers are common.
+quadric_argv = st.builds(
+    lambda n, order: [("0", "2", str(2 * n))[i] for i in order],
+    st.integers(1, 299).flatmap(lambda k: st.integers(max(3, 10 ** (k - 1)), 10**k - 1)),
+    st.permutations(range(3)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(quadric_argv, st.sampled_from(["text", "json", "csv"]))
+def test_quadric_argv_exits_0_impossible(degrees, fmt):
+    # The quadric check bisects, so no size of n is refused.
+    code, out, err = run_cli(["classify", *degrees, "--format", fmt])
+    assert (code, err) == (0, "")
+    assert "impossible" in out
 
 
 @st.composite
