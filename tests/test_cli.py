@@ -352,19 +352,37 @@ def test_refusal_message_bytes(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, capped",
     [
-        ["search", "p1xp1", "--n", "3", "--bound", "1000000000"],
+        (["classify", "0", "2", "200000000", "--format", "csv"], False),
+        (["search", "p1xp1", "--n", "3", "--bound", "1000000000"], True),
     ],
-    ids=["search_p1xp1"],
+    ids=["classify", "search_p1xp1"],
 )
-def test_quadric_box_cap(argv, capsys):
-    # search p1xp1 replays the explicit box scan, so it keeps the cap.
+def test_quadric_box_cap(argv, capped, capsys):
+    # search p1xp1 replays the explicit box scan, so it keeps the cap;
+    # classify checks the quadric by bisection, so it has none and answers.
     code, out, err = run(argv, capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-    assert "cap" in err
+    if capped:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "cap" in err
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("0,2,200000000,even,")
+        assert ",impossible,exact,2," in out
+
+
+def test_quadric_box_cap_in_classify_names_no_option(capsys):
+    # classify takes no bound: a large quadric triple is classified, and
+    # nothing it prints advises passing a bound or names a cap.
+    code, out, err = run(["classify", "0", "2", "200000000"], capsys)
+    assert (code, err) == (0, "")
+    assert "impossible" in out
+    assert "cap" not in out
+    assert "--bound" not in out
+    assert "smaller bound" not in out
 
 
 @pytest.mark.parametrize(
