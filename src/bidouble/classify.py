@@ -78,7 +78,7 @@ def in_t2(t) -> bool:
 def in_t1(t) -> bool:
     """Sorted triple lies in T1 = {(0,4,2n): n >= 2} u {(2,2,2n): n >= 1}."""
     n1, n2, n3 = validate_triple(t)
-    return ((n1, n2) == (0, 4) and n3 >= 4) or ((n1, n2) == (2, 2) and n3 >= 2)
+    return (n1 == 0 and n2 == 4 and n3 >= 4) or (n1 == 2 and n2 == 2 and n3 >= 2)
 
 
 class LineBundleStatus(namedtuple("LineBundleStatus", "status reason citations")):
@@ -150,23 +150,21 @@ def _verdicts(
     checks of the argument that decides it."""
     n1, n2, n3 = t
 
-    if not t.is_even:
-        if _parity_product(t.n, 1)[1] % 2 != 1:
+    if n1 % 2:
+        if _parity_product(n1 + n2 + n3, 1)[1] % 2 != 1:
             raise ConsistencyError(
                 f"parity obstruction failed to fire on odd triple {tuple_text(t)} "
                 f"({LEM_ODD_RANK})"
             )
         return _LB_ODD, _UC_ODD
 
-    if t == (0, 2, 4):
-        _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
-        return _LB_024, _UC_024
-
-    if t == (0, 2, 2):
-        _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
-        return _LB_022, _UC_022
-
-    if (n1, n2) == (0, 2):
+    if n1 == 0 and n2 == 2:
+        if n3 == 4:
+            _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
+            return _LB_024, _UC_024
+        if n3 == 2:
+            _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
+            return _LB_022, _UC_022
         # The discriminant route, and bisection for the integer roots over
         # [0, (n + 1)m'], which holds every real root; raises
         # ConsistencyError if bisection finds what the discriminant excludes.
@@ -174,11 +172,11 @@ def _verdicts(
         # The m' = 1 block holds n + 1, n and n^2 + 1.
         _, s, n, _, _, value, _ = blocks[0]
         lb = LineBundleStatus(
-            status="impossible",
-            reason=f"a line bundle would descend to the quadric with a + b = {s}m', "
+            "impossible",
+            f"a line bundle would descend to the quadric with a + b = {s}m', "
             f"2ab = {n}m'^2; the discriminant needs {n}^2 + 1 = {value} to be a "
             f"perfect square, and it is not ({PROP_QUADRIC})",
-            citations=(PROP_QUADRIC,),
+            (PROP_QUADRIC,),
         )
         return lb, _UC_QUADRIC
 
@@ -210,12 +208,14 @@ def classify_triple(t) -> Classification:
             f"line-bundle verdict {lb.status!r} on {tuple_text(t)} disagrees with the "
             f"closed-form sets T1, T2, which give {expected!r} ({THM_COMPLEXITY})"
         )
-    recipe = None
-    if t.is_even and t != (0, 2, 2):  # (0,2,2) has m = 2 < 3
-        recipe = _build_recipe(t, inv)
-        _check_special_c2(t, inv)
-        _check_recipe(t, recipe, inv)
-    return Classification(t, inv, pic, lb, uc, recipe)
+    # tuple.__new__ skips the named tuple's Python-level constructor; every
+    # field was built above.
+    if t.n1 % 2 or t == (0, 2, 2):  # no recipe: odd, or (0,2,2) with m = 2 < 3
+        return tuple.__new__(Classification, (t, inv, pic, lb, uc, None))
+    recipe = _build_recipe(t, inv)
+    _check_special_c2(t, inv)
+    _check_recipe(t, recipe, inv)
+    return tuple.__new__(Classification, (t, inv, pic, lb, uc, recipe))
 
 
 def line_bundle_status(t) -> LineBundleStatus:

@@ -14,12 +14,14 @@ Pulled back to the cover, 1 + deg(C) - deg(C') = m makes c1 = mH and
 #Z = M makes c2 = M, matching the special Ulrich targets exactly.  The
 triple (0,2,2) has m = 2 and is the one even case the recipe excludes.
 
-``_check_recipe`` computes every numerical identity the construction rests
-on, once, as one check table whose rows hold (label, cite, holds, template,
-numbers); ``classify_triple`` runs it on every even row, and
-``verify_recipe`` renders the same table line by line.  The sheaf-level
-steps (the extension defining the bundle, existence of the needed
-sections) are recorded as paper-certified, never recomputed.
+``_check_recipe`` tests every numerical identity the construction rests
+on, once, as integers and booleans; ``classify_triple`` runs it on every
+even row.  The labelled check table, whose rows hold (label, cite, holds,
+template, numbers), is built from its results only where it is read: by
+``verify_recipe``, which renders it line by line, and on a failure, to
+name the failed lines.  The sheaf-level steps (the extension defining the
+bundle, existence of the needed sections) are recorded as paper-certified,
+never recomputed.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class CBRecipe(
             raise DomainError(f"E1 is a line; its degree is 1, got {deg_e1}")
         if (tangency_note is not None) != (residue == 2):
             raise DomainError("tangency note is present exactly in the residue-2 case")
-        return super().__new__(
-            cls, m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note
+        return tuple.__new__(
+            cls, (m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note)
         )
 
 
@@ -94,61 +96,71 @@ def _build_recipe(t: BranchTriple, inv: SurfaceInvariants) -> CBRecipe:
             f"M = {big_m} is odd for {tuple_text(t)}; M = m^2 + sum m_i^2 is always even "
             f"({THM_RANK_TWO})"
         )
-    residue = big_m % 4
-    if residue == 0:
+    if big_m % 4 == 0:
         deg_c = big_m // 4
-        z_count = 4 * deg_c
-        note = None
-    else:
-        deg_c = (big_m + 2) // 4
-        z_count = 4 * (deg_c - 1) + 2
-        note = TANGENCY_NOTE
-    return CBRecipe(
-        m=m,
-        big_m=big_m,
-        residue=residue,
-        deg_e1=1,
-        deg_c=deg_c,
-        deg_cprime=deg_c + 1 - m,
-        z_count=z_count,
-        tangency_note=note,
-    )
+        return CBRecipe(m, big_m, 0, 1, deg_c, deg_c + 1 - m, 4 * deg_c, None)
+    deg_c = (big_m + 2) // 4  # M = 2 mod 4: one residual block of length 2
+    return CBRecipe(m, big_m, 2, 1, deg_c, deg_c + 1 - m, 4 * (deg_c - 1) + 2, TANGENCY_NOTE)
+
+
+# The lines of the recipe check table, in report order: (label, cite,
+# template).  Each template reads the numbers of ``_check_recipe`` by index:
+# {0} recipe m, {1} recipe M, {2} target m, {3} target M, {4} deg E1,
+# {5} deg C, {6} deg C', {7} the c1 coefficient, {8} z_count, {9} the
+# block count formula and {10} its value, {11} 3M, {12} 4m^2, {13} 4(m - 1).
+_RECIPE_LINES = (
+    ("recipe matches triple", THM_RANK_TWO,
+     "recipe (m = {0}, M = {1}) vs targets (m = {2}, M = {3})"),
+    ("c1 coefficient", THM_RANK_TWO,
+     "deg E1 + deg C - deg C' = {4} + {5} - {6} = {7}, so c1 = {2}H matches 3H + K numerically"),
+    ("c2 count", COR_SPECIAL,
+     "z_count = {8} equals the target c2 = {3}, computed independently from the "
+     "Chern-number formula"),
+    ("block count identity", THM_RANK_TWO, "{9} = {10} = M"),
+    ("deg C' positive", THM_RANK_TWO, "deg C' = {6} >= 1"),
+    ("deg C >= m", THM_RANK_TWO, "deg C = {5} >= m = {2}"),
+    ("vanishing inequalities", THM_RANK_TWO,
+     "3M = {11} >= 4m^2 = {12} and M = {1} > 4(m - 1) = {13}"),
+)
 
 
 def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> tuple:
-    # The check table of ``verify_recipe``: each row is (label, cite, holds,
-    # template, numbers), in report order.
+    # Tests the lines of ``_RECIPE_LINES`` as integers, in order, and
+    # returns (holds, numbers), the numbers as the templates index them.
     m, big_m = inv.m, inv.big_m
     r_m, r_big_m, residue, e1, c, cprime, z_count, _ = recipe
     c1 = e1 + c - cprime
     if residue == 0:
-        blocks, blocks_text = 4 * c, "4 * deg C = {} = M"
+        blocks_text, blocks = "4 * deg C", 4 * c
     else:
-        blocks, blocks_text = 4 * (c - 1) + 2, "4 * (deg C - 1) + 2 = {} = M"
+        blocks_text, blocks = "4 * (deg C - 1) + 2", 4 * (c - 1) + 2
     three_big_m, four_m_sq, four_m_minus_four = 3 * r_big_m, 4 * m * m, 4 * (m - 1)
-    rows = (
-        ("recipe matches triple", THM_RANK_TWO, r_m == m and r_big_m == big_m,
-         "recipe (m = {}, M = {}) vs targets (m = {}, M = {})", (r_m, r_big_m, m, big_m)),
-        ("c1 coefficient", THM_RANK_TWO, c1 == m,
-         "deg E1 + deg C - deg C' = {} + {} - {} = {}, so c1 = {}H matches 3H + K numerically",
-         (e1, c, cprime, c1, m)),
-        ("c2 count", COR_SPECIAL, z_count == big_m,
-         "z_count = {} equals the target c2 = {}, computed independently from the "
-         "Chern-number formula", (z_count, big_m)),
-        ("block count identity", THM_RANK_TWO, blocks == r_big_m, blocks_text, (blocks,)),
-        ("deg C' positive", THM_RANK_TWO, cprime >= 1, "deg C' = {} >= 1", (cprime,)),
-        ("deg C >= m", THM_RANK_TWO, c >= m, "deg C = {} >= m = {}", (c, m)),
-        ("vanishing inequalities", THM_RANK_TWO,
-         three_big_m >= four_m_sq and r_big_m > four_m_minus_four,
-         "3M = {} >= 4m^2 = {} and M = {} > 4(m - 1) = {}",
-         (three_big_m, four_m_sq, r_big_m, four_m_minus_four)),
+    holds = (
+        r_m == m and r_big_m == big_m,
+        c1 == m,
+        z_count == big_m,
+        blocks == r_big_m,
+        cprime >= 1,
+        c >= m,
+        three_big_m >= four_m_sq and r_big_m > four_m_minus_four,
     )
-    failed = _failed(rows)
-    if failed:
+    numbers = (r_m, r_big_m, m, big_m, e1, c, cprime, c1, z_count, blocks_text, blocks,
+               three_big_m, four_m_sq, four_m_minus_four)
+    if False in holds:
+        failed = _failed(_recipe_table(holds, numbers))
         raise ConsistencyError(
             f"recipe verification failed on {tuple_text(t)}: {failed} ({THM_RANK_TWO})"
         )
-    return rows
+    return holds, numbers
+
+
+def _recipe_table(holds: tuple, numbers: tuple) -> tuple:
+    # The check table of ``verify_recipe``: one (label, cite, holds,
+    # template, numbers) row per line of ``_RECIPE_LINES``.
+    return tuple(
+        (label, cite, ok, template, numbers)
+        for (label, cite, template), ok in zip(_RECIPE_LINES, holds)
+    )
 
 
 _EXTENSION = CitedLine(
@@ -171,6 +183,6 @@ def verify_recipe(t, recipe: CBRecipe) -> Report:
     t = validate_triple(t)
     return _report(
         f"rank-two special Ulrich recipe for branch degrees {t.as_tuple()}",
-        _check_recipe(t, recipe, special_ulrich_targets(t)),
+        _recipe_table(*_check_recipe(t, recipe, special_ulrich_targets(t))),
         _EXTENSION,
     )

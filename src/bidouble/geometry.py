@@ -144,28 +144,30 @@ def invariants(triple) -> SurfaceInvariants:
     """Invariants of the bidouble plane with the given branch degrees."""
     t = validate_triple(triple)
     n1, n2, n3 = t
-    n = t.n
-    sigma2 = n1 * n2 + n1 * n3 + n2 * n3
-    chi_num = 16 + n1 * n1 + n2 * n2 + n3 * n3 + sigma2 - 6 * n
+    n = n1 + n2 + n3
+    chi_num = 16 + n1 * n1 + n2 * n2 + n3 * n3 + n1 * n2 + n1 * n3 + n2 * n3 - 6 * n
     if chi_num % 4 != 0:
         raise ConsistencyError(
             f"chi formula produced a non-integer for {tuple_text(t)}: {chi_num}/4 "
             f"({PROP_INVARIANTS})"
         )
     chi = chi_num // 4
-    k_squared = (n - 6) ** 2
+    shift = n - 6
+    k_squared = shift * shift
     euler = _euler_number(n1, n2, n3)
     if 12 * chi != k_squared + euler:
         raise ConsistencyError(
             f"Noether's formula fails on {tuple_text(t)}: 12 chi = {12 * chi}, but "
             f"K^2 + e = {k_squared} + {euler} = {k_squared + euler} ({PROP_INVARIANTS})"
         )
-    m = big_m = None
-    if t.is_even:
-        m = n // 2
-        m1, m2, m3 = n1 // 2, n2 // 2, n3 // 2
-        big_m = m * m + m1 * m1 + m2 * m2 + m3 * m3
-    return SurfaceInvariants(k_squared, chi, 4, 2 * (n - 6), 0, n, m, big_m)
+    # tuple.__new__ skips the named tuple's Python-level constructor; every
+    # field is computed here.
+    if n1 % 2:
+        return tuple.__new__(SurfaceInvariants, (k_squared, chi, 4, 2 * shift, 0, n, None, None))
+    # Route 1 for M, from the m_i; ``_check_special_c2`` is route 2.
+    m, m1, m2, m3 = n // 2, n1 // 2, n2 // 2, n3 // 2
+    big_m = m * m + m1 * m1 + m2 * m2 + m3 * m3
+    return tuple.__new__(SurfaceInvariants, (k_squared, chi, 4, 2 * shift, 0, n, m, big_m))
 
 
 class IntermediatePicard(namedtuple("IntermediatePicard", "a b rho rho_resolution cite")):
@@ -220,15 +222,14 @@ def picard_jump_family(triple) -> str | None:
     The families are (0,2,2n) n>=1, (0,4,2n) n>=2, (1,3,odd) together with
     (1,1,3), and (2,2,2n) n>=1; every other admissible triple has rho = 1.
     """
-    t = validate_triple(triple)
-    n1, n2, n3 = t
-    if (n1, n2) == (0, 2):
+    n1, n2, n3 = validate_triple(triple)
+    if n1 == 0 and n2 == 2:
         return "(0,2,2n)"
-    if (n1, n2) == (0, 4) and n3 >= 4:
+    if n1 == 0 and n2 == 4 and n3 >= 4:
         return "(0,4,2n)"
-    if (n1, n2, n3) == (1, 1, 3) or ((n1, n2) == (1, 3) and n3 >= 3):
+    if n1 == 1 and ((n2 == 1 and n3 == 3) or (n2 == 3 and n3 >= 3)):
         return "(1,3,odd)"
-    if (n1, n2) == (2, 2):
+    if n1 == 2 and n2 == 2:
         return "(2,2,2n)"
     return None
 
@@ -243,6 +244,10 @@ class PicardClassification(
     __slots__ = ()
 
 
+# The verdict of every cover with rho(S) = 1: it has no witnesses.
+_RHO_ONE = PicardClassification(True, (), None)
+
+
 def picard_classification(triple) -> PicardClassification:
     """Decide rho(S) = 1 through the three intermediate double planes.
 
@@ -253,14 +258,17 @@ def picard_classification(triple) -> PicardClassification:
     """
     t = validate_triple(triple)
     n1, n2, n3 = t
-    # Only a pair that jumps gets its record.
-    witnesses = tuple(
-        [intermediate_picard(a, b) for a, b in ((n2, n3), (n1, n3), (n1, n2)) if _rho(a, b) > 1]
-    )
+    if n1 + n2 >= 6:  # every pair sums to at least n1 + n2, so none jumps
+        witnesses = ()
+    else:  # only a pair that jumps gets its record
+        witnesses = tuple(
+            [intermediate_picard(a, b) for a, b in ((n2, n3), (n1, n3), (n1, n2))
+             if _rho(a, b) > 1]
+        )
     family = picard_jump_family(t)
     if (not witnesses) != (family is None):
         raise ConsistencyError(
             f"pairwise rho test ({LEM_INTERMEDIATE}, {COR_PICARD}) and family list "
             f"({THM_PICARD}) disagree on {tuple_text(t)}"
         )
-    return PicardClassification(not witnesses, witnesses, family)
+    return PicardClassification(False, witnesses, family) if witnesses else _RHO_ONE

@@ -140,10 +140,7 @@ class Report(namedtuple("Report", "title lines", defaults=((),))):
 # the row's numbers fill.
 def _failed(rows) -> str:
     """The labels of the rows that do not hold, comma-separated, or ""."""
-    for row in rows:  # a plain loop: every classified row passes through here
-        if not row[2]:
-            return ", ".join(label for label, _, holds, _, _ in rows if not holds)
-    return ""
+    return ", ".join(label for label, _, holds, _, _ in rows if not holds)
 
 
 def _report(title: str, rows, certified: CitedLine) -> Report:

@@ -181,6 +181,15 @@ TEXT_BUILDERS = (
 )
 
 
+def patch_every_binding(monkeypatch, fn, replacement):
+    """Bind replacement to every name bound to fn in the package."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "bidouble" or mod_name.startswith("bidouble."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def count_every_binding(monkeypatch, calls, fn):
     """Count calls of fn through every name bound to it in the package."""
 
@@ -188,11 +197,7 @@ def count_every_binding(monkeypatch, calls, fn):
         calls[fn.__name__] += 1
         return fn(*args, **kwargs)
 
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "bidouble" or mod_name.startswith("bidouble."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    patch_every_binding(monkeypatch, fn, counted)
 
 
 def test_each_argument_runs_once_per_row(monkeypatch):
@@ -218,6 +223,67 @@ def test_each_argument_runs_once_per_row(monkeypatch):
         seen.update(calls)
     # every wrapper was reached, so the bound above is not vacuous
     assert set(seen) == {name for _, name in SINGLE_PASS} | {"invariants"}
+
+
+def test_row_builds_nothing_no_output_reads(monkeypatch):
+    # A row runs every check, but builds no record or table that its
+    # outputs do not read.
+    calls = Counter()
+    for fn in (geometry_module.intermediate_picard, geometry_module._rho,
+               construction_module._recipe_table):
+        count_every_binding(monkeypatch, calls, fn)
+    # The recipe check's binding only: the certificate check of (0,2,2) and
+    # (0,2,4) reads its own table.
+    real_failed = construction_module._failed
+    monkeypatch.setattr(construction_module, "_failed",
+                        lambda rows: calls.update(["_failed"]) or real_failed(rows))
+    real_validate = geometry_module.validate_triple
+
+    def validate(triple):
+        calls["unvalidated"] += not isinstance(triple, geometry_module.BranchTriple)
+        return real_validate(triple)
+
+    patch_every_binding(monkeypatch, real_validate, validate)
+    jumping = 0
+    for t in all_triples(16):
+        calls.clear()
+        c = classify_triple(t.as_tuple())
+        n1, n2, _ = t
+        # Only a jumping pair gets its record; a rho = 1 row gets the one
+        # module-level verdict, and no pair is tested when every pair
+        # sums to at least n1 + n2 >= 6.
+        assert calls["intermediate_picard"] == len(c.picard.witnesses), t.as_tuple()
+        if c.picard.rho_is_one:
+            assert c.picard is geometry_module._RHO_ONE, t.as_tuple()
+        if n1 + n2 >= 6:
+            assert calls["_rho"] == 0, t.as_tuple()
+        jumping += len(c.picard.witnesses)
+        # A passing recipe check builds no labelled table.
+        assert calls["_recipe_table"] == calls["_failed"] == 0, (t.as_tuple(), dict(calls))
+        # The nested checks take validate_triple's fast path.
+        assert calls["unvalidated"] == 1, t.as_tuple()
+    assert jumping > 0
+    # verify_recipe still builds the table it renders
+    verify_recipe((2, 4, 6), special_rank2_recipe((2, 4, 6)))
+    assert calls["_recipe_table"] == 1
+
+
+def test_recipe_check_fires_in_classify(monkeypatch, capsys):
+    # A recipe whose deg C' is off by one fails the c1 line of the check.
+    real = classify_module._build_recipe
+    monkeypatch.setattr(
+        classify_module,
+        "_build_recipe",
+        lambda t, inv: real(t, inv)._replace(deg_cprime=real(t, inv).deg_cprime + 1),
+    )
+    with pytest.raises(
+        ConsistencyError, match=r"recipe verification failed on \(2, 4, 6\): c1 coefficient \("
+    ):
+        classify_triple((2, 4, 6))
+    assert cli.main(["classify", "2", "4", "6"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal consistency failure: recipe verification failed")
 
 
 def test_quadric_box_in_classify_is_exhaustive(monkeypatch):

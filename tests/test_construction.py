@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -110,6 +111,20 @@ def test_recipe_invariants_to_60():
             assert 4 * (r.deg_c - 1) + 2 == r.big_m
         assert 3 * r.big_m >= 4 * r.m**2
         assert r.big_m > 4 * (r.m - 1)
+
+
+# sha256 of the recipe reports of every even triple with n3 <= 30 but
+# (0,2,2), 799 triples in the order of ``even_triples``, joined by "\n";
+# both block layouts (M = 0 and 2 mod 4) occur.
+RECIPE_REPORTS_SHA256 = "46660f1ba236bbf6a35433d852a3acc49b1c0fdcbb92995fb22bbca8fe23feaf"
+
+
+def test_recipe_reports_digest():
+    triples = [t for t in even_triples(30) if t.as_tuple() != (0, 2, 2)]
+    assert len(triples) == 799
+    assert {special_rank2_recipe(t).residue for t in triples} == {0, 2}
+    text = "\n".join(verify_recipe(t, special_rank2_recipe(t)).render() for t in triples)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECIPE_REPORTS_SHA256
 
 
 def test_verify_report_title_names_triple():
