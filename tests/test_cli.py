@@ -17,9 +17,14 @@ import bidouble.classify as classify_module
 import bidouble.cli as cli
 import bidouble.numerics as numerics_module
 from bidouble.citations import ALL_LABELS
-from bidouble.construction import special_rank2_recipe, verify_recipe
+from bidouble.construction import TANGENCY_NOTE, special_rank2_recipe, verify_recipe
 from bidouble.errors import ConsistencyError, DomainError, number_text
-from bidouble.geometry import BranchTriple, intermediate_picard, validate_triple
+from bidouble.geometry import (
+    BranchTriple,
+    intermediate_picard,
+    picard_classification,
+    validate_triple,
+)
 from bidouble.lattice import (
     DivisorClass,
     arithmetic_genus,
@@ -638,6 +643,50 @@ def test_json_writer_matches_stdlib(capsys):
         ]
 
 
+def test_template_constants_hold_no_slot():
+    # The JSON writer cuts its templates at "\x00" and fills them at
+    # "\x01": a constant holding either would be cut or filled as a slot.
+    texts = set(ALL_LABELS) | {cli.EXCLUSION_NOTE, TANGENCY_NOTE}
+    verdicts = 0
+    for value in vars(classify_module).values():
+        if isinstance(value, classify_module.LineBundleStatus):
+            texts |= {value.status, value.reason, *value.citations}
+            verdicts += 1
+        elif isinstance(value, classify_module.ComplexityVerdict):
+            texts |= {value.kind, *value.trail}
+            verdicts += 1
+    assert verdicts
+    families = set()
+    for t in cli.enumerate_triples(12):
+        pic = picard_classification(t)
+        if pic.family is not None:
+            families.add(pic.family)
+            texts |= {pic.family, *(w.cite for w in pic.witnesses)}
+    assert len(families) == 4
+    assert [s for s in texts if "\x00" in s or "\x01" in s] == []
+
+
+def test_json_writer_takes_percent_signs(monkeypatch):
+    # Only the spans that hold integer slots are %-templates; a verdict
+    # text with "%" and "%d" in it is written as it stands.
+    reason = "100% open: %d, %s and %% are not format specifiers"
+    monkeypatch.setattr(
+        classify_module,
+        "_LB_OPEN",
+        classify_module._LB_OPEN._replace(reason=reason),
+    )
+    cli._json_template.cache_clear()
+    try:
+        for t in ((2, 2, 8), (0, 4, 10)):
+            c = classify_module.classify_triple(t)
+            assert c.line_bundle.reason == reason
+            text = json.dumps(cli.query_payload(t), indent=2)
+            assert cli._query_json(c) == text
+            assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+    finally:
+        cli._json_template.cache_clear()
+
+
 def test_batch_without_rows(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# no triples\n")
@@ -1234,6 +1283,31 @@ def test_batch_max30_bytes(fmt, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_MAX30_SHA256[fmt]
+
+
+# sha256 of `classify N1 N2 N3 --format json` stdout, one triple per verdict
+# branch: the batch digest covers only rows written with an indent.  The
+# JSON writer's templates come from json.dumps of the payload, so these
+# digests, not the round-trip tests, pin the schema itself.  CI checks the
+# installed CLI against the (2,4,6) digest.
+CLASSIFY_JSON_SHA256 = {
+    "1 3 5": "3ae6680ea2cd6b04a20429635f25151884e085c323f147207a1531b52c4250c0",
+    "3 5 7": "614cb7f313e0bb87320c0233701e39265b626dcaa68b8494f27bc2d1aa60cf06",
+    "0 2 2": "912210f775902de7d87d23f8a9fc74ea20f80f7d31be5dedf8dea573216c71b2",
+    "0 2 4": "eb620ee960322dcab90850d440b4d531e694b9abb70412aa49da3ebb1d2eecd6",
+    "0 2 30": "82110dc286f963818eea9f8f72e66f7d5c7f65365e06fdd0ba5e0bfe6e392472",
+    "0 4 10": "c37952ffb34901ec10d9b360086868bd7f0674ce32d61d36d9e74c37d3c69997",
+    "2 2 8": "8b81fdacaffd2c6ba7622a45ff4e26f98e746bed42c58246d7f748a6d2fe03cc",
+    "2 4 6": "b9a6c7a1330210917b7e21d0c5fe346307f95cfd7ebc96425ec1bac93c3fa153",
+    "4 8 12": "61efd82d959905c1495d7ff695a42b47ef217c587885b19fb866a9236847909d",
+}
+
+
+@pytest.mark.parametrize("triple", list(CLASSIFY_JSON_SHA256))
+def test_classify_json_bytes(triple, capsys):
+    code, out, err = run(["classify", *triple.split(), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[triple]
 
 
 # sha256 of `search lattice --preset delpezzo4 --degree 3 --selfint -217
