@@ -25,7 +25,6 @@ import re
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import mul
 
 from .citations import (
     PROP_INVARIANTS,
@@ -36,15 +35,10 @@ from .citations import (
 )
 from .classify import Classification, ComplexityVerdict, LineBundleStatus, classify_triple
 from .construction import CBRecipe
-from .errors import ConsistencyError, DomainError, number_text, tuple_text
+from .errors import ConsistencyError, DomainError, number_text
 from .geometry import BranchTriple, PicardClassification, SurfaceInvariants, validate_triple
-from .lattice import brute_force_search, pair, preset_lattice
-from .numerics import (
-    FeasibilityVerdict,
-    _quadric_bound,
-    p1xp1_line_search,
-    rank1_rho1_search,
-)
+from .lattice import _box_bound, brute_force_search, preset_lattice
+from .numerics import FeasibilityVerdict, _describe_hits, p1xp1_line_search, rank1_rho1_search
 
 __all__ = ["main", "build_parser", "query_payload", "enumerate_triples"]
 
@@ -476,7 +470,7 @@ def cmd_search_rho1(args) -> int:
 
 def cmd_search_p1xp1(args) -> int:
     verdict = p1xp1_line_search(args.n, bound=args.bound)
-    bound = _quadric_bound(args.n, args.bound)
+    bound = _box_bound(args.n, args.bound)
     _print_verdict(
         verdict,
         {"search": "p1xp1", "n": args.n, "bound": bound},
@@ -494,7 +488,7 @@ def cmd_search_lattice(args) -> int:
         if args.triple is not None:
             raise DomainError(f"--triple only applies to rank1_bidouble, not {args.preset}")
         lat = preset_lattice(args.preset)
-    bound = args.bound if args.bound is not None else 10 * (args.degree + 1)
+    bound = _box_bound(args.degree, args.bound)
     hits = brute_force_search(lat, bound, args.degree, args.selfint)
     described = _describe_hits(lat, hits, args.degree, args.selfint)
     if args.format == "json":
@@ -511,36 +505,6 @@ def cmd_search_lattice(args) -> int:
         ]
         print("\n".join(lines))
     return 0
-
-
-def _describe_hits(lat, hits, degree: int, selfint: int) -> list[tuple]:
-    """(coords, genus, rank1_ulrich) of each hit, the coords a plain tuple.
-
-    Every hit D has D.H = degree and D^2 = selfint, so one dot product per
-    hit, D.K, gives both the adjunction genus 1 + (D^2 + D.K)/2 and
-    Equality (2.2) at rank 1, D.K = D^2 - 2(H^2 - chi) with c2 = 0.
-    Equality (2.1) at rank 1, 2 D.H = 3H^2 + K.H, holds for every hit or
-    for none.  These are ``arithmetic_genus`` and ``check_numerical_ulrich``
-    with the per-query numbers taken out; every preset carries chi.  K is
-    characteristic on every preset, so D^2 + D.K is even, and an odd one
-    raises instead of printing a half-integer genus.
-    """
-    h_sq = pair(lat, lat.h, lat.h)
-    eq21 = 2 * degree == 3 * h_sq + pair(lat, lat.k, lat.h)
-    ulrich_dk = selfint - 2 * (h_sq - lat.chi)
-    gk = [sum(map(mul, row, lat.k)) for row in lat.gram]  # D.K = D . (G K)
-    described = []
-    for d in hits:
-        dk = sum(map(mul, gk, d))
-        twice_genus, odd = divmod(selfint + dk, 2)
-        if odd:
-            raise ConsistencyError(
-                f"D^2 + D.K = {number_text(selfint + dk)} is odd for D = {tuple_text(d)} "
-                f"on {lat.describe()}: K is not characteristic, and adjunction gives "
-                f"no integer genus"
-            )
-        described.append((tuple(d), 1 + twice_genus, eq21 and dk == ulrich_dk))
-    return described
 
 
 def _lattice_json(preset: str, bound: int, degree: int, selfint: int, described) -> str:
@@ -618,6 +582,13 @@ def cmd_presets(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose refusal is one stderr line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _add_format(parser, choices=("text", "json", "csv")) -> None:
     parser.add_argument(
         "--format",
@@ -628,7 +599,7 @@ def _add_format(parser, choices=("text", "json", "csv")) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bidouble",
         description="Exact classification of Ulrich bundle data on bidouble planes.",
     )

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
-from numbers import Rational
 
-from .errors import SHOWN_LIMIT, DomainError, ShapeError, number_text, tuple_text
+from .errors import SHOWN_LIMIT, ConsistencyError, DomainError, ShapeError, number_text, tuple_text
 from .geometry import invariants, validate_triple
 
 __all__ = [
@@ -157,12 +156,21 @@ def pair(lat: IntersectionLattice, d1: DivisorClass, d2: DivisorClass) -> int:
     return total
 
 
-def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> Rational:
-    """Adjunction genus 1 + (d.d + d.K)/2 as an exact rational, a ``Fraction``."""
-    # Imported here: ``fractions`` loads ``decimal``, which start-up skips.
-    from fractions import Fraction
+def _genus(lat: IntersectionLattice, d: DivisorClass, d_sq: int, d_k: int) -> int:
+    # K is characteristic on every preset: an odd sum is a broken lattice.
+    twice_genus, odd = divmod(d_sq + d_k, 2)
+    if odd:
+        raise ConsistencyError(
+            f"D^2 + D.K = {number_text(d_sq + d_k)} is odd for D = {tuple_text(d)} "
+            f"on {lat.describe()}: K is not characteristic, and adjunction gives "
+            f"no integer genus"
+        )
+    return 1 + twice_genus
 
-    return 1 + Fraction(pair(lat, d, d) + pair(lat, d, lat.k), 2)
+
+def arithmetic_genus(lat: IntersectionLattice, d: DivisorClass) -> int:
+    """Adjunction genus 1 + (d.d + d.K)/2; an odd d.d + d.K raises ``ConsistencyError``."""
+    return _genus(lat, d, pair(lat, d, d), pair(lat, d, lat.k))
 
 
 def rank1_bidouble_lattice(triple) -> IntersectionLattice:
@@ -299,6 +307,11 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
 
 # Boxes beyond this total are refused outright rather than ground through.
 _CELL_CAP = 10**8
+
+
+def _box_bound(degree: int, bound: int | None) -> int:
+    """The box bound of a search: ``bound``, or 10(degree + 1) if None."""
+    return 10 * (degree + 1) if bound is None else bound
 
 
 def _search_pruned(lat, bound, degree_target, selfint_target):

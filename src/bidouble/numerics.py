@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
+from operator import mul
 
 from .citations import (
     COR_SPECIAL,
@@ -58,8 +59,9 @@ from .errors import ConsistencyError, DomainError, number_text, tuple_text
 from .geometry import BranchTriple, SurfaceInvariants, invariants, validate_triple
 from .lattice import (
     _CELL_CAP,
-    DivisorClass,
     IntersectionLattice,
+    _box_bound,
+    _genus,
     delpezzo_lattice,
     k3_024_lattice,
     pair,
@@ -153,6 +155,18 @@ def _report(title: str, rows, certified: CitedLine) -> Report:
     return Report(title, tuple(lines))
 
 
+def _ulrich_targets(lat: IntersectionLattice, rank: int) -> tuple[int, int]:
+    # The doubled right-hand sides of Equalities (2.1)-(2.2) at this rank:
+    # 2 c1.H = r (3 H^2 + K.H) and c1^2 - c1.K - 2 c2 = 2r (H^2 - chi).
+    chi = lat.chi
+    if chi is None:
+        raise DomainError(
+            f"chi is required for the second Ulrich equality; {lat.describe()} carries none"
+        )
+    h_sq = pair(lat, lat.h, lat.h)
+    return rank * (3 * h_sq + pair(lat, lat.k, lat.h)), 2 * rank * (h_sq - chi)
+
+
 def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> bool:
     """Exact test of Equalities (2.1) and (2.2) for cand on lat, both sides
     doubled so that they are integer identities:
@@ -163,18 +177,27 @@ def check_numerical_ulrich(lat: IntersectionLattice, cand: UlrichCandidate) -> b
     chi is the lattice's carried value; a lattice without one leaves (2.2)
     undefined and the call is a usage error.
     """
-    chi = lat.chi
-    if chi is None:
-        raise DomainError(
-            f"chi is required for the second Ulrich equality; {lat.describe()} carries none"
-        )
-    r = cand.rank
+    degree_target, c2_term = _ulrich_targets(lat, cand.rank)
     c1 = cand.c1
-    h_sq = pair(lat, lat.h, lat.h)
     return (
-        2 * pair(lat, c1, lat.h) == r * (3 * h_sq + pair(lat, lat.k, lat.h))
-        and 2 * cand.c2 == pair(lat, c1, c1) - pair(lat, c1, lat.k) - 2 * r * (h_sq - chi)
+        2 * pair(lat, c1, lat.h) == degree_target
+        and pair(lat, c1, c1) - pair(lat, c1, lat.k) - 2 * cand.c2 == c2_term
     )
+
+
+def _describe_hits(lat: IntersectionLattice, hits, degree: int, selfint: int) -> list[tuple]:
+    # (coords, genus, rank1_ulrich) of each hit of a lattice search, the
+    # coords a plain tuple.  Every hit D has D.H = degree and D^2 = selfint,
+    # so Equality (2.1) holds for all hits or none, and one dot product per
+    # hit, D.K, gives the genus and Equality (2.2) at rank 1, c2 = 0.
+    degree_target, c2_term = _ulrich_targets(lat, 1)
+    holds_21 = 2 * degree == degree_target
+    gk = [sum(map(mul, row, lat.k)) for row in lat.gram]  # D.K = D . (G K)
+    dks = [sum(map(mul, gk, d)) for d in hits]
+    return [
+        (tuple(d), _genus(lat, d, selfint, dk), holds_21 and selfint - dk == c2_term)
+        for d, dk in zip(hits, dks)
+    ]
 
 
 def _check_special_c2(t: BranchTriple, inv: SurfaceInvariants) -> None:
@@ -356,25 +379,10 @@ def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, i
     return out
 
 
-def _quadric_bound(n: int, bound: int | None) -> int:
-    """The box bound of ``search p1xp1``: ``bound``, or 10(n + 1) if None."""
-    return 10 * (n + 1) if bound is None else bound
-
-
-def _check_quadric(n: int, bound: int | None = None) -> list:
+def _check_quadric(n: int) -> list:
     # The routes of the quadric argument: n^2 + 1 is no square, and
-    # bisection finds no integer root for m' = 1 or 2.  With a ``bound``,
-    # the box |a|, |b| <= bound is scanned too, as ``search p1xp1``
-    # replays it.  Returns, per m', the numbers of its trace lines.
-    if bound is not None:
-        if bound < 0:
-            raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
-        if 2 * bound + 1 > _CELL_CAP:
-            raise DomainError(
-                f"quadric box scan at bound {number_text(bound)} has "
-                f"{number_text(2 * bound + 1)} values of a, "
-                f"over the cap of {_CELL_CAP}"
-            )
+    # bisection finds no integer root for m' = 1 or 2.  Returns, per m',
+    # the numbers of its trace lines.
     value = n * n + 1
     if is_perfect_square(value):
         raise ConsistencyError(
@@ -383,7 +391,6 @@ def _check_quadric(n: int, bound: int | None = None) -> list:
         )
     root = isqrt(value)
     blocks = []
-    box_solutions = []
     for mprime in (1, 2):
         s, target = (n + 1) * mprime, n * mprime * mprime
         blocks.append((mprime, s, target, 2 * s, 4 * mprime * mprime * value, value, root))
@@ -394,14 +401,6 @@ def _check_quadric(n: int, bound: int | None = None) -> list:
                 f"{number_text(n)}, but bisection finds a = {number_text(roots[0])} "
                 f"for m' = {mprime} ({PROP_QUADRIC})"
             )
-        if bound is not None:
-            box_solutions += _quadric_box_solutions(s, target, bound)
-    if box_solutions:
-        raise ConsistencyError(
-            f"quadric discriminant route leaves no integer root for n = {n}, but the box "
-            f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
-            f"{box_solutions[0]} ({PROP_QUADRIC})"
-        )
     return blocks
 
 
@@ -437,8 +436,25 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"quadric parameter n must be a positive integer, got {number_text(n)}")
-    bound = _quadric_bound(n, bound)
-    blocks = _check_quadric(n, bound)
+    bound = _box_bound(n, bound)
+    if bound < 0:
+        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
+    if 2 * bound + 1 > _CELL_CAP:
+        raise DomainError(
+            f"quadric box scan at bound {number_text(bound)} has "
+            f"{number_text(2 * bound + 1)} values of a, "
+            f"over the cap of {_CELL_CAP}"
+        )
+    blocks = _check_quadric(n)
+    box_solutions = [
+        ab for _, s, target, *_ in blocks for ab in _quadric_box_solutions(s, target, bound)
+    ]
+    if box_solutions:
+        raise ConsistencyError(
+            f"quadric discriminant route leaves no integer root for n = {n}, but the box "
+            f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
+            f"{box_solutions[0]} ({PROP_QUADRIC})"
+        )
     trace = [
         CitedLine(template.format(*numbers), cite)
         for numbers in blocks

@@ -16,9 +16,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bidouble.classify import in_t1, in_t2, ulrich_complexity
 from bidouble.construction import special_rank2_recipe, verify_recipe
+from bidouble.errors import ConsistencyError
 from bidouble.geometry import (
     intermediate_picard,
     invariants,
@@ -319,7 +321,14 @@ def test_criterion_10a_pairing_properties():
         checks += 1
         assert pair(lat, x, y) == pair(lat, y, x)
         checks += 1
-        assert arithmetic_genus(lat, x) == 1 + Fraction(pair(lat, x, x) + pair(lat, x, lat.k), 2)
+        # Adjunction: an integer genus where x^2 + x.K is even, a refusal
+        # where it is odd (K is not characteristic on every random lattice).
+        twice_genus, odd = divmod(pair(lat, x, x) + pair(lat, x, lat.k), 2)
+        if odd:
+            with pytest.raises(ConsistencyError, match="is odd"):
+                arithmetic_genus(lat, x)
+        else:
+            assert arithmetic_genus(lat, x) == 1 + twice_genus
         checks += 1
     assert checks >= 10_000
     print(

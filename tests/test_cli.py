@@ -180,6 +180,34 @@ def test_classify_rejects_signed_degree():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["classify", "2", "4", "-6"], "bidouble classify: error: argument n3: expected an "
+         "unsigned integer (signs are rejected on degrees), got '-6'"),
+        (["classify", "2", "4"], "bidouble classify: error: the following arguments are "
+         "required: n3"),
+        (["batch"], "bidouble batch: error: one of the arguments --input --max-degree is "
+         "required"),
+        (["batch", "--max-degree", "4", "--input", "x"], "bidouble batch: error: argument "
+         "--input: not allowed with argument --max-degree"),
+        (["search", "lattice", "--preset", "p1xp1", "--degree", "+5", "--selfint", "0"],
+         "bidouble search lattice: error: argument --degree: expected an unsigned integer "
+         "(signs are rejected on degrees), got '+5'"),
+        (["search", "lattice", "--preset", "k3_024", "--degree", "3", "--selfint", "x"],
+         "bidouble search lattice: error: argument --selfint: expected an integer, got 'x'"),
+    ],
+    ids=["classify_sign", "classify_arity", "batch_source", "batch_both", "lattice_sign",
+         "lattice_selfint"],
+)
+def test_argparse_refusal_is_one_line(argv, line, capsys):
+    # The message line argparse writes last, without the usage lines before it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_unsigned_int_type():
     assert cli.unsigned_int("12") == 12
     for bad in ("-3", "+3", "3.0", ""):
@@ -487,20 +515,22 @@ def test_batch_input_long_lines(capsys, tmp_path):
 
 
 def test_cli_import_leaves_numpy_out():
-    # Neither numpy nor the heavy standard modules load at start-up; the
-    # probe counts only what the import adds, not what site preloads.
+    # Neither numpy nor the heavy standard modules load at start-up, and no
+    # rational arithmetic either; the probe counts only what the import
+    # adds, not what site preloads.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = (
-        "import sys; before = set(sys.modules); import bidouble.cli; "
-        "new = set(sys.modules) - before; "
-        "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions'}))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    for module in ("bidouble.cli", "bidouble"):
+        probe = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions', 'numbers'}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", module
 
 
 def test_public_annotations_resolve():
@@ -1007,7 +1037,7 @@ def test_search_lattice_parity_on_every_preset(lat):
     # every class of the preset, and its genus is arithmetic_genus.
     for i in range(lat.rank):
         e = DivisorClass.basis(lat.rank, i)
-        [(coords, genus, ulrich)] = cli._describe_hits(
+        [(coords, genus, ulrich)] = numerics_module._describe_hits(
             lat, [e], pair(lat, e, lat.h), pair(lat, e, e)
         )
         assert coords == tuple(e)

@@ -1,10 +1,9 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from bidouble.errors import DomainError, ShapeError
+from bidouble.errors import ConsistencyError, DomainError, ShapeError
 from bidouble.geometry import BranchTriple
 from bidouble.lattice import (
     DivisorClass,
@@ -238,6 +237,8 @@ def test_preset_dispatch():
         preset_lattice("p1xp1", 3)
     with pytest.raises(DomainError):
         preset_lattice("delpezzo")
+    with pytest.raises(DomainError, match="^rank1_bidouble takes three branch degrees$"):
+        preset_lattice("rank1_bidouble", 2, 4)
 
 
 def test_parameterless_presets_refuse_parameters():
@@ -300,11 +301,16 @@ def test_genus_fraction():
     line = DivisorClass((1, 0, 0, 0, 0, 0))
     twisted = line + dp.h
     assert arithmetic_genus(dp, twisted) == 3
-    # where K is not characteristic, D^2 + D.K can be odd: a half-integer
+    # where K is not characteristic, D^2 + D.K can be odd: no integer genus
     odd = IntersectionLattice(
         rank=1, basis_labels=("H",), gram=((1,),), h=DivisorClass((1,)), k=DivisorClass((0,))
     )
-    assert arithmetic_genus(odd, odd.h) == Fraction(3, 2)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^D\^2 \+ D\.K = 1 is odd for D = \(1\) on rank-1 lattice: K is not "
+        r"characteristic, and adjunction gives no integer genus$",
+    ):
+        arithmetic_genus(odd, odd.h)
 
 
 def test_preset_canonical_classes_are_characteristic():
@@ -396,6 +402,18 @@ def test_search_fallback(gram, h):
         for self_int in range(-12, 13):
             total += len(assert_matches_full_scan(lat, 3, deg, self_int))
     assert total > 0
+
+
+def test_search_degree_beyond_reach():
+    # G.h = (0, 1, 0): the first coordinate does not enter the degree, and
+    # the other two reach degrees of size 3 at most in the box of bound 3,
+    # so a degree of 4 ends the search at the first coordinate.
+    lat = hand_built([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, 1, 0))
+    for deg in (-4, 4):
+        for self_int in (-1, 0, 16):
+            assert brute_force_search(lat, 3, deg, self_int) == [] == full_scan(
+                lat, 3, deg, self_int
+            )
 
 
 def assert_every_target(lat, bound):

@@ -421,6 +421,27 @@ def test_quadric_box_cross_check_fires(monkeypatch):
         p1xp1_line_search(3)
 
 
+def test_quadric_box_solutions_match_full_scan():
+    # The firing test above patches the scan out, so here it must find
+    # solutions: (a0, b0) planted on, next to and just past the edges of
+    # the box, against a scan of every cell |a|, |b| <= bound.
+    rng = random.Random(23)
+    found = 0
+    for _ in range(200):
+        bound = rng.randint(1, 40)
+        a0, b0 = (rng.choice((-1, 1)) * (bound + rng.randint(-2, 1)) for _ in range(2))
+        s, target = a0 + b0, 2 * a0 * b0
+        scan = [
+            (a, b)
+            for a in range(-bound, bound + 1)
+            for b in range(-bound, bound + 1)
+            if a + b == s and 2 * a * b == target
+        ]
+        assert numerics_module._quadric_box_solutions(s, target, bound) == scan, (s, target, bound)
+        found += len(scan)
+    assert found > 100
+
+
 def test_quadric_bisection_matches_full_scan():
     # Random (s, target) pairs, 40% with a planted root a0, against a scan
     # of every a in [0, s]: f(a) = 2a(s - a) - target is negative outside.

@@ -21,12 +21,14 @@ from bidouble.geometry import validate_triple  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
-# 1-4 digits are classified; 1001-1100 digits cross the ceiling.
+# 1-4 and 5-1000 digits are parsed, 1001-1100 cross the ceiling; each
+# range is drawn a third of the time.
 number = st.builds(
     str.__add__,
     st.sampled_from(["", "", "", "+", "-"]),
     st.one_of(
         st.text("0123456789", min_size=1, max_size=4),
+        st.text("0123456789", min_size=5, max_size=1000),
         st.text("0123456789", min_size=1001, max_size=1100),
     ),
 )
@@ -47,6 +49,16 @@ def _small_or_above_ceiling(token: str) -> bool:
     return not (token.isdigit() and 12 < int(token) <= cli.MAX_ENUMERATED_DEGREE)
 
 
+def _no_long_box_scan(argv) -> bool:
+    # search p1xp1 scans 2 * bound + 1 values of a, bound 10(n + 1) by
+    # default; from 10^5 to the cap that takes from 0.1 s to a minute.
+    tokens = argv[3::2]  # n, then the bound if given
+    if not all(token.isdigit() and len(token) <= cli.MAX_DIGITS for token in tokens):
+        return True  # argparse refuses it
+    bound = int(tokens[1]) if len(tokens) > 1 else 10 * (int(tokens[0]) + 1)
+    return not 10**5 < bound <= 5 * 10**7
+
+
 three_numbers = st.lists(number, min_size=3, max_size=3)
 optional_bound = st.one_of(st.just([]), number.map(lambda b: ["--bound", b]))
 lattice_preset = st.one_of(
@@ -57,7 +69,9 @@ lattice_preset = st.one_of(
 numeric_argv = st.one_of(
     three_numbers.map(lambda t: ["classify", *t]),
     three_numbers.map(lambda t: ["search", "rho1", "--triple", *t]),
-    st.builds(lambda n, b: ["search", "p1xp1", "--n", n, *b], number, optional_bound),
+    st.builds(lambda n, b: ["search", "p1xp1", "--n", n, *b], number, optional_bound).filter(
+        _no_long_box_scan
+    ),
     st.builds(
         lambda p, d, s, b: ["search", "lattice", "--preset", *p, "--degree", d, "--selfint", s, *b],
         lattice_preset, number, number, optional_bound,
@@ -76,8 +90,31 @@ def test_digit_argv_exits_0_or_2(argv):
     assert code in (0, 2)
     if code == 2:
         assert out == ""
-        # argparse writes its usage lines before the one message line.
-        assert len(err.splitlines()[-1].encode()) < 200
+        # Every refusal, argparse's included, is one short stderr line.
+        [line] = err.splitlines()
+        assert len(line.encode()) < 200
+
+
+# A line of a triples file: zero to five numbers, signed or not.
+triples_file_line = st.lists(number, max_size=5).map(" ".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(triples_file_line, min_size=1, max_size=6), st.sampled_from(["text", "json", "csv"])
+)
+def test_batch_file_lines_exit_0_or_2(lines, fmt):
+    # Each line is a row or one short diagnostic; an uncaught exception
+    # fails the test in process.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "triples.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        code, out, err = run_cli(["batch", "--input", str(path), "--format", fmt])
+    diagnostics = err.splitlines()
+    assert code == (2 if diagnostics else 0)
+    for diagnostic in diagnostics:
+        assert diagnostic.startswith("skipped line ")
+        assert len(diagnostic.encode()) < 200
 
 
 # (0,2,2n) with n >= 3 of 1 to 299 digits, so n3 = 2n has up to 300, in

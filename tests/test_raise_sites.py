@@ -18,7 +18,7 @@ FIRING_TESTS = {
         ("test_classify.py", "test_parity_obstruction_fires"),
     ("classify", "classify_triple", "line-bundle verdict {} on {} disagrees"):
         ("test_cli.py", "test_closed_form_cross_check_exits_3"),
-    ("cli", "_describe_hits", "D^2 + D.K = {} is odd"):
+    ("lattice", "_genus", "D^2 + D.K = {} is odd"):
         ("test_cli.py", "test_search_lattice_odd_adjunction_exits_3"),
     ("construction", "_build_recipe", "m = {} < 3"):
         ("test_construction.py", "test_build_recipe_guards_fire"),
@@ -41,8 +41,8 @@ FIRING_TESTS = {
     ("numerics", "_check_quadric", "quadric discriminant route leaves no integer root for "
                                    "n = {}, but bisection"):
         ("test_numerics.py", "test_quadric_bisection_fires"),
-    ("numerics", "_check_quadric", "quadric discriminant route leaves no integer root for "
-                                   "n = {}, but the box"):
+    ("numerics", "p1xp1_line_search", "quadric discriminant route leaves no integer root "
+                                      "for n = {}, but the box"):
         ("test_numerics.py", "test_quadric_box_cross_check_fires"),
     ("numerics", "_check_certificate", "certificate mismatch on"):
         ("test_numerics.py", "test_certificate_fires_on_a_failed_number"),
