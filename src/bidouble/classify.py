@@ -46,8 +46,7 @@ from .citations import (
 )
 from .construction import _build_recipe, _check_recipe
 from .errors import ConsistencyError, tuple_text
-from .geometry import BranchTriple, PicardClassification, SurfaceInvariants
-from .geometry import invariants, picard_classification, validate_triple
+from .geometry import BranchTriple, invariants, picard_classification, validate_triple
 from .numerics import (
     _check_certificate,
     _check_q1,
@@ -70,15 +69,25 @@ __all__ = [
 _T2 = ((0, 2, 2), (0, 2, 4))
 
 
+def _closed_form(t: BranchTriple) -> str:
+    """The line-bundle status the closed forms give a BranchTriple:
+    "exists" on T2, "open" on T1, "impossible" elsewhere."""
+    if t in _T2:
+        return "exists"
+    n1, n2, n3 = t
+    if (n1 == 0 and n2 == 4 and n3 >= 4) or (n1 == 2 and n2 == 2 and n3 >= 2):
+        return "open"
+    return "impossible"
+
+
 def in_t2(t) -> bool:
     """Sorted triple lies in T2 = {(0,2,2), (0,2,4)}: certified uc = 1."""
-    return validate_triple(t) in _T2
+    return _closed_form(validate_triple(t)) == "exists"
 
 
 def in_t1(t) -> bool:
     """Sorted triple lies in T1 = {(0,4,2n): n >= 2} u {(2,2,2n): n >= 1}."""
-    n1, n2, n3 = validate_triple(t)
-    return (n1 == 0 and n2 == 4 and n3 >= 4) or (n1 == 2 and n2 == 2 and n3 >= 2)
+    return _closed_form(validate_triple(t)) == "open"
 
 
 class LineBundleStatus(namedtuple("LineBundleStatus", "status reason citations")):
@@ -96,7 +105,7 @@ class ComplexityVerdict(namedtuple("ComplexityVerdict", "kind value bounds trail
 
 
 # The verdicts that do not depend on the row, one pair per branch of
-# ``_verdicts``.  A complexity trail is Thm. 1.2, then Cor. 4.3 on covers
+# ``classify_triple``.  A complexity trail is Thm. 1.2, then Cor. 4.3 on covers
 # with no line bundle, then the line-bundle citations, then Thm. 5.1 where
 # a recipe witnesses uc <= 2 (every even cover but (0,2,2)).
 _LB_ODD = LineBundleStatus(
@@ -142,29 +151,35 @@ _UC_RHO_ONE = ComplexityVerdict(
 )
 
 
-def _verdicts(
-    t: BranchTriple, inv: SurfaceInvariants, pic: PicardClassification
-) -> tuple[LineBundleStatus, ComplexityVerdict]:
-    """Does the cover admit an Ulrich line bundle for the pulled-back
-    polarization, and what complexity follows?  Each branch re-runs the
-    checks of the argument that decides it."""
-    n1, n2, n3 = t
+class Classification(
+    namedtuple("Classification", "triple invariants picard line_bundle complexity recipe")
+):
+    """Every verdict on one triple; ``recipe`` is the verified rank-two
+    recipe, or None on odd covers and on (0,2,2), which it excludes."""
 
+    __slots__ = ()
+
+
+def classify_triple(t) -> Classification:
+    """Classify one triple in a single pass; see the module docstring.
+    Each branch of the line-bundle verdict re-runs the checks of the
+    argument that decides it."""
+    if not isinstance(t, BranchTriple):
+        t = validate_triple(t)
+    inv = invariants(t)
+    pic = picard_classification(t)
+    n1, n2, n3 = t
     if n1 % 2:
-        if _parity_product(n1 + n2 + n3, 1)[1] % 2 != 1:
+        if _parity_product(inv.n, 1)[1] % 2 != 1:
             raise ConsistencyError(
                 f"parity obstruction failed to fire on odd triple {tuple_text(t)} "
                 f"({LEM_ODD_RANK})"
             )
-        return _LB_ODD, _UC_ODD
-
-    if n1 == 0 and n2 == 2:
-        if n3 == 4:
-            _check_certificate((0, 2, 4))  # raises ConsistencyError on any failed number
-            return _LB_024, _UC_024
-        if n3 == 2:
-            _check_certificate((0, 2, 2))  # raises ConsistencyError on any failed number
-            return _LB_022, _UC_022
+        lb, uc = _LB_ODD, _UC_ODD
+    elif n1 == 0 and n2 == 2 and n3 <= 4:
+        _check_certificate(t)  # raises ConsistencyError on any failed number
+        lb, uc = (_LB_024, _UC_024) if n3 == 4 else (_LB_022, _UC_022)
+    elif n1 == 0 and n2 == 2:
         # The discriminant route, and bisection for the integer roots over
         # [0, (n + 1)m'], which holds every real root; raises
         # ConsistencyError if bisection finds what the discriminant excludes.
@@ -178,31 +193,13 @@ def _verdicts(
             f"perfect square, and it is not ({PROP_QUADRIC})",
             (PROP_QUADRIC,),
         )
-        return lb, _UC_QUADRIC
-
-    if not pic.rho_is_one:
-        return _LB_OPEN, _UC_OPEN
-
-    _check_q1(t, inv)  # the rank-1 elimination's second route
-    return _LB_RHO_ONE, _UC_RHO_ONE
-
-
-class Classification(
-    namedtuple("Classification", "triple invariants picard line_bundle complexity recipe")
-):
-    """Every verdict on one triple; ``recipe`` is the verified rank-two
-    recipe, or None on odd covers and on (0,2,2), which it excludes."""
-
-    __slots__ = ()
-
-
-def classify_triple(t) -> Classification:
-    """Classify one triple in a single pass; see the module docstring."""
-    t = validate_triple(t)
-    inv = invariants(t)
-    pic = picard_classification(t)
-    lb, uc = _verdicts(t, inv, pic)
-    expected = "exists" if in_t2(t) else "open" if in_t1(t) else "impossible"
+        uc = _UC_QUADRIC
+    elif not pic.rho_is_one:
+        lb, uc = _LB_OPEN, _UC_OPEN
+    else:
+        _check_q1(t, inv)  # the rank-1 elimination's second route
+        lb, uc = _LB_RHO_ONE, _UC_RHO_ONE
+    expected = _closed_form(t)
     if lb.status != expected:
         raise ConsistencyError(
             f"line-bundle verdict {lb.status!r} on {tuple_text(t)} disagrees with the "
@@ -210,7 +207,7 @@ def classify_triple(t) -> Classification:
         )
     # tuple.__new__ skips the named tuple's Python-level constructor; every
     # field was built above.
-    if t.n1 % 2 or t == (0, 2, 2):  # no recipe: odd, or (0,2,2) with m = 2 < 3
+    if n1 % 2 or t == (0, 2, 2):  # no recipe: odd, or (0,2,2) with m = 2 < 3
         return tuple.__new__(Classification, (t, inv, pic, lb, uc, None))
     recipe = _build_recipe(t, inv)
     _check_special_c2(t, inv)

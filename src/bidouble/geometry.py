@@ -102,7 +102,9 @@ class BranchTriple(namedtuple("BranchTriple", "n1 n2 n3")):
 
 def validate_triple(triple) -> BranchTriple:
     """Coerce to a BranchTriple, sorting first; raises the specific
-    DomainError subclass naming which admissibility condition failed."""
+    DomainError subclass naming which admissibility condition failed.
+    A BranchTriple is valid already: the functions here that take a
+    triple call this only on anything else."""
     if isinstance(triple, BranchTriple):
         return triple
     degrees = tuple(triple)
@@ -142,7 +144,7 @@ def _euler_number(n1: int, n2: int, n3: int) -> int:
 
 def invariants(triple) -> SurfaceInvariants:
     """Invariants of the bidouble plane with the given branch degrees."""
-    t = validate_triple(triple)
+    t = triple if isinstance(triple, BranchTriple) else validate_triple(triple)
     n1, n2, n3 = t
     n = n1 + n2 + n3
     chi_num = 16 + n1 * n1 + n2 * n2 + n3 * n3 + n1 * n2 + n1 * n3 + n2 * n3 - 6 * n
@@ -222,7 +224,7 @@ def picard_jump_family(triple) -> str | None:
     The families are (0,2,2n) n>=1, (0,4,2n) n>=2, (1,3,odd) together with
     (1,1,3), and (2,2,2n) n>=1; every other admissible triple has rho = 1.
     """
-    n1, n2, n3 = validate_triple(triple)
+    n1, n2, n3 = triple if isinstance(triple, BranchTriple) else validate_triple(triple)
     if n1 == 0 and n2 == 2:
         return "(0,2,2n)"
     if n1 == 0 and n2 == 4 and n3 >= 4:
@@ -256,7 +258,7 @@ def picard_classification(triple) -> PicardClassification:
     once per occurrence.  The pairwise verdict is cross-checked against
     the closed-form family list and a disagreement raises ConsistencyError.
     """
-    t = validate_triple(triple)
+    t = triple if isinstance(triple, BranchTriple) else validate_triple(triple)
     n1, n2, n3 = t
     if n1 + n2 >= 6:  # every pair sums to at least n1 + n2, so none jumps
         witnesses = ()

@@ -268,6 +268,27 @@ def test_row_builds_nothing_no_output_reads(monkeypatch):
     assert calls["_recipe_table"] == 1
 
 
+def test_row_call_budget():
+    # A row with n1 + n2 >= 6 (every pair has rho = 1, so no pair is
+    # tested) makes at most 12 Python-level calls if even and 8 if odd,
+    # classify_triple's own call included: no wrapper chain and no second
+    # validation of a BranchTriple, while every check keeps its call.
+    rows = 0
+    for t in cli.enumerate_triples(40):
+        if t.n1 + t.n2 < 6:
+            continue
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            classify_triple(t)
+        finally:
+            sys.setprofile(None)
+        assert len(calls) <= (8 if t.n1 % 2 else 12), (t.as_tuple(), [
+            f.f_code.co_name for f in calls])
+        rows += 1
+    assert rows > 3000
+
+
 def test_recipe_check_fires_in_classify(monkeypatch, capsys):
     # A recipe whose deg C' is off by one fails the c1 line of the check.
     real = classify_module._build_recipe

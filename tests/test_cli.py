@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -376,8 +377,12 @@ def test_library_refusal_names_long_number_by_digit_count(call):
           "--bound", NINES[:479]],
          "search box has at least <a number of 480 digits> cells at rank 9, "
          "bound <a number of 479 digits>; the cap is 100000000, pass a smaller bound"),
+        # The value count is 2 * bound + 1, exactly.
+        (["search", "p1xp1", "--n", "1", "--bound", "50000000"],
+         "quadric box scan at bound 50000000 has 100000001 values of a, "
+         "over the cap of 100000000"),
     ],
-    ids=["lattice_rank9", "lattice_side_over_cap", "lattice_long_side"],
+    ids=["lattice_rank9", "lattice_side_over_cap", "lattice_long_side", "p1xp1_values_of_a"],
 )
 def test_refusal_message_bytes(argv, message, capsys):
     code, out, err = run(argv, capsys)
@@ -729,25 +734,95 @@ def test_batch_without_rows(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
-def test_failed_batch_writes_nothing(fmt, monkeypatch, capsys):
+def test_failed_batch_writes_nothing(fmt, monkeypatch, capsys, tmp_path):
     # Every row is checked before the first byte is written: a check that
-    # fails on the last row leaves stdout empty.
-    last = cli.enumerate_triples(12)[-1]
+    # fails on the last row leaves stdout empty, also past the first blocks.
+    long_rows = cli.enumerate_triples(24)[-(2 * cli.BLOCK_ROWS + 1):]
+    path = tmp_path / "long.txt"
+    path.write_text("".join(f"{t.n1} {t.n2} {t.n3}\n" for t in long_rows))
+    sources = (
+        (["--max-degree", "12"], cli.enumerate_triples(12)[-1]),
+        (["--input", str(path)], long_rows[-1]),
+    )
     real = classify_module._check_q1
-    checked = []
+    for source, last in sources:
+        assert last.is_even and last.n1 + last.n2 >= 6  # _check_q1 runs on it
+        checked = []
 
-    def check_q1(t, inv):
-        checked.append(t)
-        if t == last:
-            raise ConsistencyError(f"forced on the last row {t.as_tuple()}")
-        return real(t, inv)
+        def check_q1(t, inv):
+            checked.append(t)
+            if t == last:
+                raise ConsistencyError(f"forced on the last row {t.as_tuple()}")
+            return real(t, inv)
 
-    monkeypatch.setattr(classify_module, "_check_q1", check_q1)
-    code, out, err = run(["batch", "--max-degree", "12", "--format", fmt], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal consistency failure: forced on the last row")
-    assert len(checked) > 1 and checked[-1] == last
+        monkeypatch.setattr(classify_module, "_check_q1", check_q1)
+        code, out, err = run(["batch", *source, "--format", fmt], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal consistency failure: forced on the last row")
+        assert len(checked) > 1 and checked[-1] == last
+
+
+class _RecordedWrites(io.StringIO):
+    """A stdout that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def text_table(payloads) -> str:
+    """The text table of these rows: each column as wide as its widest cell
+    or its name, cells two spaces apart, trailing blanks cut."""
+    rows = [list(cli.CSV_COLUMNS)] + [payload_csv_cells(p) for p in payloads]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
+
+
+@pytest.fixture(scope="module")
+def block_payloads():
+    rows = cli.enumerate_triples(40)[:2 * cli.BLOCK_ROWS + 1]
+    return rows, [cli.query_payload(t) for t in rows]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_batch_block_boundaries(fmt, block_payloads, monkeypatch, tmp_path):
+    # Around each block boundary the output equals the per-row reference,
+    # written with one write for the header, then one per block of
+    # BLOCK_ROWS rows and one for the rest.
+    rows, payloads = block_payloads
+    b = cli.BLOCK_ROWS
+    for count in (0, 1, b - 1, b, b + 1, 2 * b + 1):
+        # Unsorted lines and a repeat: count unique valid rows.
+        lines = [f"{t.n3} {t.n1} {t.n2}\n" for t in rows[:count]] + ["# end\n"]
+        path = tmp_path / f"rows-{count}.txt"
+        path.write_text("".join(lines[::-1] + lines[:1]))
+        stdout = _RecordedWrites()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["batch", "--input", str(path), "--format", fmt]) == 0
+        expected = {
+            "json": json.dumps(payloads[:count], indent=2) + "\n",
+            "csv": "".join(
+                ",".join(cells) + "\n"
+                for cells in [cli.CSV_COLUMNS] + list(map(payload_csv_cells, payloads[:count]))
+            ),
+            "text": text_table(payloads[:count]),
+        }[fmt]
+        assert stdout.getvalue() == expected, count
+        if fmt == "json":  # a row starts a line with "{" at indent 2
+            rows_per_write = [w.count("\n  {") + w.startswith("{") for w in stdout.writes]
+            head = 0
+        else:  # a row, or the header, is a line
+            rows_per_write = [w.count("\n") for w in stdout.writes]
+            head = 1
+        assert rows_per_write == [head] + [b] * (count // b) + [count % b] * (count % b > 0), count
 
 
 def test_batch_text_table(capsys):
@@ -1133,8 +1208,11 @@ def test_search_lattice_bad_delpezzo_degree(preset, needle, capsys):
         ("foo", "unknown lattice preset 'foo'; known: "),
         ("x" * 5000, "unknown lattice preset of 5000 characters; known: "),
         ("\u00e9" * 40, "unknown lattice preset of 40 characters; known: "),
+        # A repr of 48 bytes is quoted whole; one of 49 is not.
+        ("x" * 46, f"unknown lattice preset {'x' * 46!r}; known: "),
+        ("x" * 47, "unknown lattice preset of 47 characters; known: "),
     ],
-    ids=["short", "5000_chars", "40_two_byte_chars"],
+    ids=["short", "5000_chars", "40_two_byte_chars", "48_byte_repr", "49_byte_repr"],
 )
 def test_search_lattice_unknown_preset(preset, message, capsys):
     # A short unknown name is quoted; a long one is named by its length.
@@ -1186,7 +1264,7 @@ def test_consistency_failure_exits_3(monkeypatch, capsys):
 def test_closed_form_cross_check_exits_3(monkeypatch, capsys):
     # The certified (0,2,4) line bundle must land in T2; a closed form that
     # disagrees is an internal inconsistency, not a verdict.
-    monkeypatch.setattr("bidouble.classify.in_t2", lambda t: False)
+    monkeypatch.setattr("bidouble.classify._closed_form", lambda t: "impossible")
     code, out, err = run(["classify", "0", "2", "4"], capsys)
     assert code == 3
     assert out == ""
@@ -1313,6 +1391,35 @@ def test_batch_max30_bytes(fmt, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_MAX30_SHA256[fmt]
+
+
+# sha256 of `batch --input tests/data/<file> --format <fmt>` stdout and
+# stderr, pinned before the reader and the writer were rewritten.  CI
+# checks the installed CLI against the triples_bad.txt JSON digests.
+BATCH_INPUT_SHA256 = {
+    "triples.txt csv stdout": "ddd0248744a88293dba1c9b9223d4cb154f59586d940a5a780cf825645e19722",
+    "triples.txt csv stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "triples.txt json stdout": "2e275b4bf3ba4e5487a88149b997501e00135a9a9763218407e76ef53dd49be7",
+    "triples.txt json stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "triples.txt text stdout": "8048cdd96899fb8f191177dd666278e18c5396e5c8a837a79489585988c41dd7",
+    "triples.txt text stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "triples_bad.txt csv stdout": "cdc83911645b010d82d20b275d0f03f63f0064fde0001e81002a992047aef393",
+    "triples_bad.txt csv stderr": "5f3d61e95f73f4ac60130cefef7421fd74af97ecce941e4f3a827aff19c29cd4",
+    "triples_bad.txt json stdout": "dcfcaa0e6e2cdaae3a3578db4f8fe1c950b85cf77e235a3eb4463e66e0fcdba5",
+    "triples_bad.txt json stderr": "5f3d61e95f73f4ac60130cefef7421fd74af97ecce941e4f3a827aff19c29cd4",
+    "triples_bad.txt text stdout": "0f03223eb8987c5bc9eb5d4350f705c1c389d0ebc2e0e27120ff6bfdbd73bc69",
+    "triples_bad.txt text stderr": "5f3d61e95f73f4ac60130cefef7421fd74af97ecce941e4f3a827aff19c29cd4",
+}
+
+
+@pytest.mark.parametrize("name", ["triples.txt", "triples_bad.txt"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_batch_input_bytes(name, fmt, capsys):
+    code, out, err = run(["batch", "--input", str(DATA / name), "--format", fmt], capsys)
+    assert code == (2 if name == "triples_bad.txt" else 0)
+    for stream, text in (("stdout", out), ("stderr", err)):
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == BATCH_INPUT_SHA256[f"{name} {fmt} {stream}"], stream
 
 
 # sha256 of `classify N1 N2 N3 --format json` stdout, one triple per verdict

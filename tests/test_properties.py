@@ -1,11 +1,13 @@
 """Property tests of the CLI: exit codes, permutation invariance, and
 agreement of the batch renderers.  Skipped when Hypothesis is missing."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 import bidouble.cli as cli  # noqa: E402
 from bidouble.classify import classify_triple  # noqa: E402
 from bidouble.errors import DomainError  # noqa: E402
-from bidouble.geometry import validate_triple  # noqa: E402
+from bidouble.geometry import BranchTriple, validate_triple  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -115,6 +117,102 @@ def test_batch_file_lines_exit_0_or_2(lines, fmt):
     for diagnostic in diagnostics:
         assert diagnostic.startswith("skipped line ")
         assert len(diagnostic.encode()) < 200
+
+
+# The reader as it stood before its one-pass rewrite, kept verbatim with
+# the regex token test it called: the reference the reader must match.
+_UNSIGNED = re.compile(r"[0-9]+")
+_SIGNED = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse_int(token: str, signed: bool) -> int | None:
+    digits = len(token.lstrip("+-"))
+    if digits > cli.MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"a number of {digits} digits is too long to parse "
+            f"(the ceiling is {cli.MAX_DIGITS} digits)"
+        )
+    if (_SIGNED if signed else _UNSIGNED).fullmatch(token) is None:
+        return None
+    return int(token)
+
+
+def reference_parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
+    triples = []
+    diagnostics = []
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        try:
+            degrees = [reference_parse_int(tok, signed=False) for tok in tokens]
+        except argparse.ArgumentTypeError as exc:
+            diagnostics.append(f"line {lineno}: {exc}")
+            continue
+        if len(degrees) != 3:
+            diagnostics.append(f"line {lineno}: expected three degrees, got {len(degrees)}")
+            continue
+        if None in degrees:
+            token = tokens[degrees.index(None)]
+            diagnostics.append(
+                f"line {lineno}: degrees must be unsigned integers, got {token!r}"
+            )
+            continue
+        degrees.sort()
+        try:
+            triples.append(BranchTriple(*degrees))
+        except DomainError as exc:
+            diagnostics.append(f"line {lineno}: {exc}")
+    return sorted(set(triples)), diagnostics
+
+
+# A line is three tokens two times in three: small ASCII degrees of one
+# parity (rows and repeats), or a mix of ASCII and non-ASCII digits, signs
+# and numbers of 999 to 1001 digits.  Else it is zero to five tokens, each
+# a small degree, a short run of such characters or a long number.
+long_tokens = ["7" * 999, "8" * 1000, "9" * 1001]
+three_tokens = [*"0123456789", "\u0664", "\u00b2", "\uff11", "+2", "-2", *long_tokens]
+reader_token = st.one_of(
+    st.integers(0, 9).map(str),
+    st.text("0123456789\u0664\u00b2\uff11+-", min_size=1, max_size=4),
+    st.sampled_from([*long_tokens, "+" + "4" * 1000, "-" + "5" * 999]),
+)
+reader_tokens = st.one_of(
+    st.integers(0, 1).flatmap(  # one parity, so most are rows
+        lambda p: st.lists(st.integers(0, 4).map(lambda k: str(2 * k + p)), min_size=3, max_size=3)
+    ),
+    st.lists(st.sampled_from(three_tokens), min_size=3, max_size=3),
+    st.lists(reader_token, max_size=5),
+)
+# Mostly whitespace; a BOM or nothing glues two tokens together.
+reader_gap = st.sampled_from([" "] * 4 + ["\t", "\x0c", " \t", "\u00a0", "\ufeff", ""])
+reader_line = st.builds(
+    lambda lead, tokens, gaps, comment, end: (
+        lead + "".join(g + t for g, t in zip(gaps, tokens)) + comment + end
+    ),
+    st.sampled_from(["", " ", "\t", "\ufeff"]),
+    reader_tokens,
+    st.lists(reader_gap, min_size=5, max_size=5),
+    st.sampled_from(["", " ", "#", " # 2 4 6", "#\u0664"]),
+    st.sampled_from(["\n", "\r\n", "\n\n"]),
+)
+
+
+@st.composite
+def triples_files(draw):
+    lines = draw(st.lists(reader_line, max_size=8))
+    if lines:  # repeat some lines, valid and invalid alike
+        lines += draw(st.lists(st.sampled_from(lines), max_size=3))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples_files())
+def test_reader_matches_reference(text):
+    # Decoded as the batch command opens a file: utf-8-sig, universal newlines.
+    lines = list(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig"))
+    assert cli.parse_triples_file(iter(lines)) == reference_parse_triples_file(iter(lines))
 
 
 # (0,2,2n) with n >= 3 of 1 to 299 digits, so n3 = 2n has up to 300, in

@@ -14,7 +14,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 # (module, function, message prefix) -> (test file, test function)
 FIRING_TESTS = {
-    ("classify", "_verdicts", "parity obstruction failed to fire"):
+    ("classify", "classify_triple", "parity obstruction failed to fire"):
         ("test_classify.py", "test_parity_obstruction_fires"),
     ("classify", "classify_triple", "line-bundle verdict {} on {} disagrees"):
         ("test_cli.py", "test_closed_form_cross_check_exits_3"),
