@@ -170,7 +170,7 @@ def classify_triple(t) -> Classification:
     pic = picard_classification(t)
     n1, n2, n3 = t
     if n1 % 2:
-        if _parity_product(inv.n, 1)[1] % 2 != 1:
+        if _parity_product(n1 + n2 + n3, 1)[1] % 2 != 1:
             raise ConsistencyError(
                 f"parity obstruction failed to fire on odd triple {tuple_text(t)} "
                 f"({LEM_ODD_RANK})"

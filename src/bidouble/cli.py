@@ -47,8 +47,8 @@ __all__ = ["main", "build_parser", "query_payload", "enumerate_triples"]
 MAX_DIGITS = 1000
 MAX_ENUMERATED_DEGREE = 100  # batch --max-degree: 45,475 records held, not their text
 # batch writes this many rows at a time (about 75 KB of JSON).  Larger
-# blocks were fresh memory mappings: 256-row blocks page-faulted 2,227
-# times in rendering a 4,385-row file, 64-row blocks 181 times.
+# blocks were slower: each block's text and its encoded bytes were fresh
+# memory mappings, which page-faulted on every write.
 BLOCK_ROWS = 64
 
 CSV_COLUMNS = (
@@ -364,28 +364,26 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
     Returns the valid triples (sorted canonically, duplicates collapsed)
     and one diagnostic string per skipped line.  One pass: a line of three
     short ASCII-digit tokens goes straight to ``int``, and each distinct
-    sorted triple is validated once.
+    valid triple is validated once.
     """
-    triples, refused, diagnostics = {}, {}, []
+    triples, diagnostics = {}, []
     for lineno, raw in enumerate(stream, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         digits = "".join(tokens)
+        # The joined length settles almost every line without the max(),
+        # which slowed the whole parse by more than a tenth.
         short = len(digits) <= MAX_DIGITS or max(map(len, tokens)) <= MAX_DIGITS
         if len(tokens) != 3 or not (digits.isascii() and digits.isdigit() and short):
             diagnostics.append(f"line {lineno}: {_line_refusal(tokens)}")
             continue
         key = tuple(sorted(map(int, tokens)))
-        if key in triples:
-            continue
-        if key not in refused:
+        if key not in triples:
             try:
                 triples[key] = BranchTriple(*key)
-                continue
             except DomainError as exc:
-                refused[key] = str(exc)
-        diagnostics.append(f"line {lineno}: {refused[key]}")
+                diagnostics.append(f"line {lineno}: {exc}")
     return sorted(triples.values()), diagnostics
 
 
