@@ -110,10 +110,16 @@ def validate_triple(triple) -> BranchTriple:
     degrees = tuple(triple)
     if len(degrees) != 3:
         raise DomainError(f"expected three branch degrees, got {len(degrees)}")
+    _check_integers(degrees)
+    return BranchTriple(*sorted(degrees))
+
+
+def _check_integers(degrees) -> None:
+    # Checked before the degrees are sorted or multiplied: a bool or a float
+    # would pass for the number it equals.
     for d in degrees:
         if not isinstance(d, int) or isinstance(d, bool):
             raise DomainError(f"branch degrees must be integers, got {d!r}")
-    return BranchTriple(*sorted(degrees))
 
 
 class SurfaceInvariants(
@@ -190,6 +196,7 @@ def intermediate_picard(a: int, b: int) -> IntermediatePicard:
     a + b = 2 the cover is the plane ((1,1), rho 1) or the quadric ((0,2),
     rho 2) and no separate resolution value applies.
     """
+    _check_integers((a, b))
     if a > b:
         a, b = b, a
     if a < 0:

@@ -273,7 +273,10 @@ def preset_lattice(name: str, *params) -> IntersectionLattice:
     """
     if name == "rank1_bidouble":
         if len(params) == 1:
-            params = tuple(params[0])
+            try:
+                params = tuple(params[0])
+            except TypeError:  # one degree, or anything else not a triple
+                params = ()
         if len(params) != 3:
             raise DomainError("rank1_bidouble takes three branch degrees")
         return rank1_bidouble_lattice(params)
@@ -312,6 +315,15 @@ _CELL_CAP = 10**8
 def _box_bound(degree: int, bound: int | None) -> int:
     """The box bound of a search: ``bound``, or 10(degree + 1) if None."""
     return 10 * (degree + 1) if bound is None else bound
+
+
+def _check_bound(bound) -> None:
+    """Refuse a box bound that is not a nonnegative ``int``; a ``bool`` is
+    refused too.  Both box searches, lattice and quadric, call this."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise DomainError(f"search bound must be an integer, got {bound!r}")
+    if bound < 0:
+        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
 
 
 def _search_pruned(lat, bound, degree_target, selfint_target):
@@ -446,8 +458,7 @@ def brute_force_search(
     self-intersection) remainders have no completion.
     Boxes over 10^8 cells are refused: shrink the bound instead of waiting.
     """
-    if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
+    _check_bound(bound)
     side = 2 * bound + 1
     # The side is compared first, and a side too long to show is never
     # raised to the rank: the message then counts the cells from below.

@@ -20,7 +20,8 @@ the case analyses that rule line bundles out on bidouble planes:
   a + b = (n+1)m' and 2ab = nm'^2 for some m' in {1,2}; the discriminant
   of the resulting quadratic is 4m'^2(n^2+1), and n^2+1 is never a
   perfect square for n >= 1.  Bisection for integer roots cross-checks
-  it, and ``search p1xp1`` adds a scan of an explicit box.
+  it, and ``search p1xp1`` adds an exhaustive search of an explicit box
+  by the one lattice enumerator.
 
 Every verdict carries a step-by-step trace with statement citations so the
 eliminations can be audited line by line.  No verdict carries candidates:
@@ -61,9 +62,12 @@ from .lattice import (
     _CELL_CAP,
     IntersectionLattice,
     _box_bound,
+    _check_bound,
     _genus,
+    _search_pruned,
     delpezzo_lattice,
     k3_024_lattice,
+    p1xp1_lattice,
     pair,
 )
 
@@ -369,16 +373,6 @@ def _quadric_roots(s: int, target: int) -> list[int]:
     return roots
 
 
-def _quadric_box_solutions(s: int, target: int, bound: int) -> list[tuple[int, int]]:
-    # a + b = s pins b once a is chosen, so the box scan is linear.
-    out = []
-    for a in range(-bound, bound + 1):
-        b = s - a
-        if -bound <= b <= bound and 2 * a * b == target:
-            out.append((a, b))
-    return out
-
-
 def _check_quadric(n: int) -> list:
     # The routes of the quadric argument: n^2 + 1 is no square, and
     # bisection finds no integer root for m' = 1 or 2.  Returns, per m',
@@ -429,16 +423,18 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
     square, which fails for every n >= 1.  Every real root has
     0 <= a, b <= m'(n+1), and bisection on the two monotone branches of
     the quadratic over that range finds no integer root either; this is
-    the route ``classify`` runs.  A brute-force scan of the box
-    |a|, |b| <= bound (default 10(n+1)) must find no solution as well, and
-    any bound >= 2(n+1) makes it exhaustive.  Boxes of more than 10^8
-    values of a are refused, as lattice boxes are.
+    the route ``classify`` runs.  The box |a|, |b| <= bound (default
+    10(n+1)) must hold no solution either; any bound >= 2(n+1) covers
+    every real root.  The one lattice enumerator searches it exhaustively,
+    as the classes of the ``p1xp1`` preset with degree a + b and
+    self-intersection 2ab; it shares ``isqrt`` with the discriminant
+    route, and bisection stays the square-root-free one.  Boxes of more
+    than 10^8 values of a are refused, as lattice boxes are.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"quadric parameter n must be a positive integer, got {number_text(n)}")
     bound = _box_bound(n, bound)
-    if bound < 0:
-        raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
+    _check_bound(bound)
     if 2 * bound + 1 > _CELL_CAP:
         raise DomainError(
             f"quadric box scan at bound {number_text(bound)} has "
@@ -446,14 +442,15 @@ def p1xp1_line_search(n: int, bound: int | None = None) -> FeasibilityVerdict:
             f"over the cap of {_CELL_CAP}"
         )
     blocks = _check_quadric(n)
+    lat = p1xp1_lattice()
     box_solutions = [
-        ab for _, s, target, *_ in blocks for ab in _quadric_box_solutions(s, target, bound)
+        ab for _, s, target, *_ in blocks for ab in _search_pruned(lat, bound, s, target)
     ]
     if box_solutions:
         raise ConsistencyError(
             f"quadric discriminant route leaves no integer root for n = {n}, but the box "
             f"|a|, |b| <= {bound} holds {len(box_solutions)} solution(s), first "
-            f"{box_solutions[0]} ({PROP_QUADRIC})"
+            f"{tuple_text(box_solutions[0])} ({PROP_QUADRIC})"
         )
     trace = [
         CitedLine(template.format(*numbers), cite)

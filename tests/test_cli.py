@@ -1307,6 +1307,15 @@ def plant_quadric_root(monkeypatch):
     )
 
 
+def plant_box_block(monkeypatch):
+    """Hand the box the m' = 1 block a + b = 4, 2ab = 6, which (1, 3) and
+    (3, 1) solve, as a broken discriminant route would."""
+    real = numerics_module._check_quadric
+    monkeypatch.setattr(
+        numerics_module, "_check_quadric", lambda n: [(1, 4, 6, *real(n)[0][3:])]
+    )
+
+
 @pytest.mark.parametrize(
     "patch, argv, needle",
     [
@@ -1315,13 +1324,7 @@ def plant_quadric_root(monkeypatch):
             ["classify", "0", "2", "6"],
             "perfect square",
         ),
-        (
-            lambda mp: mp.setattr(
-                numerics_module, "_quadric_box_solutions", lambda n, mprime, bound: [(1, 3)]
-            ),
-            ["search", "p1xp1", "--n", "3"],
-            "box",
-        ),
+        (plant_box_block, ["search", "p1xp1", "--n", "3"], "holds 2 solution(s), first (1, 3)"),
         (plant_quadric_root, ["classify", "0", "2", "6"], "but bisection finds a = 1 for m' = 1"),
         (shift_chi(numerics_module), ["search", "rho1", "--triple", "2", "4", "6"],
          "q = 1 reduction"),

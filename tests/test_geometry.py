@@ -170,6 +170,10 @@ def test_intermediate_picard_rejections():
         intermediate_picard(1, 2)
     with pytest.raises(DomainError):
         intermediate_picard(-2, 4)
+    # a bool or a float would pass for the number it equals
+    for a, b in ((True, 3), (1, True), (2.0, 4)):
+        with pytest.raises(DomainError, match="^branch degrees must be integers, got "):
+            intermediate_picard(a, b)
 
 
 def test_jump_family_membership():

@@ -237,8 +237,9 @@ def test_preset_dispatch():
         preset_lattice("p1xp1", 3)
     with pytest.raises(DomainError):
         preset_lattice("delpezzo")
-    with pytest.raises(DomainError, match="^rank1_bidouble takes three branch degrees$"):
-        preset_lattice("rank1_bidouble", 2, 4)
+    for params in ((2, 4), (5,), (5.0,)):
+        with pytest.raises(DomainError, match="^rank1_bidouble takes three branch degrees$"):
+            preset_lattice("rank1_bidouble", *params)
 
 
 def test_parameterless_presets_refuse_parameters():

@@ -413,18 +413,34 @@ def test_quadric_discriminant_guard_fires(monkeypatch):
         p1xp1_line_search(3)
 
 
-def test_quadric_box_cross_check_fires(monkeypatch):
+def plant_box_block(monkeypatch, s, target):
+    """Hand the box the m' = 1 block a + b = s, 2ab = target, as a broken
+    discriminant route would."""
+    real = numerics_module._check_quadric
     monkeypatch.setattr(
-        "bidouble.numerics._quadric_box_solutions", lambda n, mprime, bound: [(1, 3)]
+        numerics_module, "_check_quadric", lambda n: [(1, s, target, *real(n)[0][3:])]
     )
-    with pytest.raises(ConsistencyError, match=r"box .* holds 2 solution\(s\)"):
+
+
+def test_quadric_box_cross_check_fires(monkeypatch):
+    # a + b = 4, 2ab = 6 has the solutions (1, 3) and (3, 1) in the box.
+    plant_box_block(monkeypatch, 4, 6)
+    with pytest.raises(ConsistencyError, match=r"box .* holds 2 solution\(s\), first \(1, 3\)"):
         p1xp1_line_search(3)
 
 
-def test_quadric_box_solutions_match_full_scan():
-    # The firing test above patches the scan out, so here it must find
-    # solutions: (a0, b0) planted on, next to and just past the edges of
-    # the box, against a scan of every cell |a|, |b| <= bound.
+def test_quadric_box_solutions_match_full_scan(monkeypatch):
+    # The box route of p1xp1_line_search, handed (a0, b0) planted on, next
+    # to and just past the edges of the box, must find what a scan of every
+    # cell |a|, |b| <= bound finds, in the same order.
+    real_search = numerics_module._search_pruned
+    searched = []
+
+    def search(*args):
+        searched.append(real_search(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(numerics_module, "_search_pruned", search)
     rng = random.Random(23)
     found = 0
     for _ in range(200):
@@ -437,9 +453,45 @@ def test_quadric_box_solutions_match_full_scan():
             for b in range(-bound, bound + 1)
             if a + b == s and 2 * a * b == target
         ]
-        assert numerics_module._quadric_box_solutions(s, target, bound) == scan, (s, target, bound)
+        plant_box_block(monkeypatch, s, target)
+        if scan:
+            with pytest.raises(ConsistencyError) as failed:
+                p1xp1_line_search(3, bound)
+            assert f"holds {len(scan)} solution(s), first {scan[0]}" in str(failed.value)
+        else:
+            assert p1xp1_line_search(3, bound).status == "infeasible_search"
+        assert searched.pop() == scan, (s, target, bound)
         found += len(scan)
     assert found > 100
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (-1, "search bound must be >= 0, got -1"),
+        (2.5, "search bound must be an integer, got 2.5"),
+        (True, "search bound must be an integer, got True"),
+        ("7", "search bound must be an integer, got '7'"),
+    ],
+    ids=["negative", "float", "bool", "str"],
+)
+def test_box_searches_share_one_bound_check(bound, message):
+    # Unchecked, a float bound gives the lattice search hits, a bool is
+    # printed as the quadric box, and a string raises TypeError.
+    for search in (
+        lambda: brute_force_search(p1xp1_lattice(), bound, 1, 0),
+        lambda: p1xp1_line_search(3, bound=bound),
+    ):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            search()
+
+
+def test_quadric_box_near_the_cap_is_answered():
+    # The default bound 10(n + 1) = 49,999,990 is just under the cap of
+    # 10^8 values of a; the enumerator answers without scanning them.
+    verdict = p1xp1_line_search(4_999_998)
+    assert verdict.status == "infeasible_search"
+    assert verdict.trace[-1].text.endswith("|a|, |b| <= 49999990: 0 solution(s)")
 
 
 def test_quadric_bisection_matches_full_scan():

@@ -51,16 +51,6 @@ def _small_or_above_ceiling(token: str) -> bool:
     return not (token.isdigit() and 12 < int(token) <= cli.MAX_ENUMERATED_DEGREE)
 
 
-def _no_long_box_scan(argv) -> bool:
-    # search p1xp1 scans 2 * bound + 1 values of a, bound 10(n + 1) by
-    # default; from 10^5 to the cap that takes from 0.1 s to a minute.
-    tokens = argv[3::2]  # n, then the bound if given
-    if not all(token.isdigit() and len(token) <= cli.MAX_DIGITS for token in tokens):
-        return True  # argparse refuses it
-    bound = int(tokens[1]) if len(tokens) > 1 else 10 * (int(tokens[0]) + 1)
-    return not 10**5 < bound <= 5 * 10**7
-
-
 three_numbers = st.lists(number, min_size=3, max_size=3)
 optional_bound = st.one_of(st.just([]), number.map(lambda b: ["--bound", b]))
 lattice_preset = st.one_of(
@@ -71,9 +61,7 @@ lattice_preset = st.one_of(
 numeric_argv = st.one_of(
     three_numbers.map(lambda t: ["classify", *t]),
     three_numbers.map(lambda t: ["search", "rho1", "--triple", *t]),
-    st.builds(lambda n, b: ["search", "p1xp1", "--n", n, *b], number, optional_bound).filter(
-        _no_long_box_scan
-    ),
+    st.builds(lambda n, b: ["search", "p1xp1", "--n", n, *b], number, optional_bound),
     st.builds(
         lambda p, d, s, b: ["search", "lattice", "--preset", *p, "--degree", d, "--selfint", s, *b],
         lattice_preset, number, number, optional_bound,
