@@ -19,12 +19,10 @@ error).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
 from itertools import islice, repeat
-from json.encoder import encode_basestring_ascii
 
 from .citations import (
     PROP_INVARIANTS,
@@ -40,7 +38,7 @@ from .geometry import BranchTriple, PicardClassification, SurfaceInvariants, val
 from .lattice import _box_bound, brute_force_search, preset_lattice
 from .numerics import FeasibilityVerdict, _describe_hits, p1xp1_line_search, rank1_rho1_search
 
-__all__ = ["main", "build_parser", "query_payload", "enumerate_triples"]
+__all__ = ["main", "run", "build_parser", "query_payload", "enumerate_triples"]
 
 # Longest number the CLI parses.  Derived values (K^2, chi, M) have up to
 # twice its digits, still under Python's 4300-digit int-to-str limit.
@@ -190,9 +188,13 @@ def query_payload(t) -> dict:
 # json.dumps).  ``%`` scans only the spans that hold integer slots: one
 # %-template of the whole ~1.1 KB row was about 20% slower per row (2 CPUs,
 # Python 3.11.7).
+#
+# ``json`` loads only for JSON output: it is about 2 ms of every start-up.
+# So the slot spellings are literals, and a row takes the string encoder
+# from its template's cache entry.
 
 _TEXT, _INT = "\x00", "\x01"
-_TEXT_JSON, _INT_JSON = json.dumps(_TEXT), json.dumps(_INT)
+_TEXT_JSON, _INT_JSON = '"\\u0000"', '"\\u0001"'  # json.dumps of each slot
 
 
 def _int_template(text: str) -> str:
@@ -224,8 +226,10 @@ def _json_template(
     has_recipe: bool,
     indent: str,
 ) -> tuple:
-    """The cut template of a row with these verdicts, ``indent`` before
-    every line but the first."""
+    """The stdlib's C string encoder and the cut template of a row with
+    these verdicts, ``indent`` before every line but the first."""
+    import json
+
     slotted = Classification(
         BranchTriple._make((_INT,) * 3),
         SurfaceInvariants._make((_INT,) * 8),
@@ -235,10 +239,15 @@ def _json_template(
         CBRecipe._make((_INT,) * 7 + (_TEXT,)) if has_recipe else None,
     )
     text = json.dumps(_payload(slotted, parity), indent=2)
-    return _cut_at_slots(text.replace("\n", "\n" + indent))
+    return json.encoder.encode_basestring_ascii, _cut_at_slots(text.replace("\n", "\n" + indent))
 
 
-_json_string = cache(encode_basestring_ascii)  # the one tangency note
+@cache
+def _json_string(text: str) -> str:
+    """The JSON spelling of the one tangency note."""
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
 
 
 def _query_json(c: Classification, indent: str = "") -> str:
@@ -247,12 +256,12 @@ def _query_json(c: Classification, indent: str = "") -> str:
     and the recipe's numbers in record order, so the records fill the
     integer slots as they are."""
     t, inv, lb, r = c.triple, c.invariants, c.line_bundle, c.recipe
-    pieces = _json_template(
+    encode, pieces = _json_template(
         t.parity, c.picard, lb.status, lb.citations, c.complexity, r is not None, indent
     )
     # Odd covers have no rank-two targets m, M.
     numbers = t + inv if inv.m is not None else t + inv[:6] + ("null", "null")
-    reason = encode_basestring_ascii(lb.reason)
+    reason = encode(lb.reason)
     if r is None:
         head, span, before_reason, tail = pieces
         return "".join((head, span % numbers, before_reason, reason, tail))
@@ -463,6 +472,8 @@ def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
 
 def _print_verdict(verdict: FeasibilityVerdict, header: dict, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(header | {"verdict": _verdict_payload(verdict)}, indent=2))
     else:
         for key, value in header.items():
@@ -524,6 +535,8 @@ def _lattice_json(preset: str, bound: int, degree: int, selfint: int, described)
     """``json.dumps(..., indent=2)`` of a lattice search: the header with two
     text slots for hits, whose separator joins the hits, and a %-template
     of one hit for each rank1_ulrich value."""
+    import json
+
     header = {"search": "lattice", "preset": preset, "bound": bound,
               "degree": degree, "selfint": selfint, "hits": []}
     if not described:
@@ -570,6 +583,8 @@ def cmd_presets(args) -> int:
             }
         )
     if args.format == "json":
+        import json
+
         print(json.dumps(entries, indent=2))
         return 0
     blocks = []
@@ -707,5 +722,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: ``main()``, then end the process at once.
+
+    Once both streams are flushed the output is durable, and interpreter
+    teardown would only free memory the exit frees anyway: 6-10 ms of every
+    run (2 CPUs, Python 3.11.7).  So the process ends by ``os._exit``: no
+    ``atexit`` handler runs and no shutdown warning is reported.  A
+    ``SystemExit`` without an integer code and any other exception, a
+    failed flush included, leave by the normal path, with its traceback
+    and exit status.  Library callers call ``main()``, which returns the
+    code.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help exits 0, a refusal 2
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None: the descriptor was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -520,22 +520,62 @@ def test_batch_input_long_lines(capsys, tmp_path):
 
 
 def test_cli_import_leaves_numpy_out():
-    # Neither numpy nor the heavy standard modules load at start-up, and no
-    # rational arithmetic either; the probe counts only what the import
-    # adds, not what site preloads.
+    # Neither numpy nor the heavy standard modules load at start-up, no
+    # rational arithmetic either, and no json, which only JSON output
+    # needs; the probe counts only what the import adds, not what site
+    # preloads.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     for module in ("bidouble.cli", "bidouble"):
         probe = (
             f"import sys; before = set(sys.modules); import {module}; "
             "new = set(sys.modules) - before; "
-            "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions', 'numbers'}))"
+            "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions', 'numbers', "
+            "'json'}))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]", module
+
+
+def test_json_loads_only_for_json_output():
+    # Text, CSV and refused runs never load json; a JSON run does.  -S keeps
+    # site from preloading anything.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys\n"
+        "from bidouble.cli import main\n"
+        "def loaded(argv):\n"
+        "    try:\n"
+        "        code = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    return [code, 'json' in sys.modules]\n"
+        "runs = [loaded(['classify', '2', '4', '6', '--format', 'csv']),\n"
+        "        loaded(['classify', '2', '4', '6']),\n"
+        "        loaded(['presets', '--format', 'text']),\n"
+        "        loaded(['classify', '1', '2', '3']),\n"
+        "        loaded(['classify', '2', '4', 'x']),\n"
+        "        loaded(['classify', '2', '4', '6', '--format', 'json'])]\n"
+        "print(runs, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    runs = result.stderr.splitlines()[-1]
+    assert runs == (
+        "[[0, False], [0, False], [0, False], [2, False], [2, False], [0, True]]"
+    )
+
+
+def test_slot_literals_are_the_json_spellings():
+    # Start-up imports no json, so the writer's slot spellings are literals.
+    assert cli._TEXT_JSON == json.dumps(cli._TEXT) == json.dumps("\x00")
+    assert cli._INT_JSON == json.dumps(cli._INT) == json.dumps("\x01")
 
 
 def test_public_annotations_resolve():
@@ -573,6 +613,153 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
     # Unbuffered, argparse drops its failed --help write and exits 0.
     assert result.returncode == (0 if unbuffered and argv == ["--help"] else 1)
     assert result.stderr == b""
+
+
+def test_main_sends_a_closed_stdout_to_the_null_device(monkeypatch, capsys):
+    # In process, main() itself meets the broken pipe: it returns 1 and
+    # points the descriptor at the null device, so closing the stream
+    # flushes what is still buffered without a second error.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = open(write_end, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert cli.main(["classify", "2", "4", "6"]) == 1
+        null = os.stat(os.devnull)
+        assert (os.fstat(write_end).st_rdev, os.fstat(write_end).st_ino) == (null.st_rdev,
+                                                                             null.st_ino)
+    finally:
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+class _Exited(Exception):
+    """Raised by the stand-in for ``os._exit``, which never returns."""
+
+
+@pytest.fixture
+def exit_codes(monkeypatch):
+    """The codes ``cli.run`` passes to ``os._exit``."""
+    codes = []
+
+    def record(code):
+        codes.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(os, "_exit", record)
+    return codes
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_run_exits_with_the_code_of_main(code, exit_codes, monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: code)
+    with pytest.raises(_Exited):
+        cli.run()
+    assert exit_codes == [code]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, "usage: bidouble [-h]", ""),
+        (["classify", "2", "4"], 2, "",
+         "bidouble classify: error: the following arguments are required: n3\n"),
+    ],
+    ids=["help", "refusal"],
+)
+def test_run_exits_with_the_code_of_argparse(argv, code, out, err, exit_codes, monkeypatch,
+                                             capsys):
+    monkeypatch.setattr(sys, "argv", ["bidouble", *argv])
+    with pytest.raises(_Exited):
+        cli.run()
+    assert exit_codes == [code]
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    assert captured.err == err
+
+
+def test_run_flushes_both_streams_before_exit(monkeypatch):
+    # Neither text ends in a newline, so each stays in its wrapper until a
+    # flush; os._exit would drop it.
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    seen = []
+
+    def main():
+        out.write("row")
+        err.write("note")
+        return 0
+
+    def record(code):
+        seen.append((code, out.buffer.getvalue(), err.buffer.getvalue()))
+        raise _Exited
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(os, "_exit", record)
+    with pytest.raises(_Exited):
+        cli.run()
+    assert seen == [(0, b"row", b"note")]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [SystemExit("bye"), SystemExit(None), RuntimeError("stray"), KeyboardInterrupt()],
+    ids=["text_exit", "none_exit", "stray", "interrupt"],
+)
+def test_run_leaves_other_exits_to_the_interpreter(exc, exit_codes, monkeypatch):
+    def main():
+        raise exc
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(type(exc)) as raised:
+        cli.run()
+    assert raised.value is exc
+    assert exit_codes == []
+
+
+def test_console_script_is_the_entry_function():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.findall(r"^bidouble = .*$", pyproject, re.M) == ['bidouble = "bidouble.cli:run"']
+
+
+def cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m bidouble.cli ARGV``: the ``__main__`` guard and ``cli.run``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "bidouble.cli", *argv], env=env, timeout=120, **kwargs
+    )
+
+
+def test_entry_runs_with_stderr_closed():
+    # With descriptor 2 closed at start-up, sys.stderr is None; the run
+    # still writes its whole output and exits 0.
+    result = cli_process(["classify", "2", "4", "6", "--format", "json"],
+                         stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == CLASSIFY_JSON_SHA256["2 4 6"]
+
+
+def test_entry_exits_3_on_a_failed_check():
+    probe = (
+        "import sys\n"
+        "import bidouble.classify\n"
+        "from bidouble.cli import run\n"
+        "from bidouble.errors import ConsistencyError\n"
+        "def fail(t, inv):\n"
+        "    raise ConsistencyError('forced on ' + str(t.as_tuple()))\n"
+        "bidouble.classify._check_q1 = fail\n"
+        "sys.argv = ['bidouble', 'classify', '2', '4', '6']\n"
+        "run()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, timeout=60
+    )
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == b"internal consistency failure: forced on (2, 4, 6)\n"
 
 
 def test_batch_missing_file(capsys):
@@ -1423,6 +1610,30 @@ def test_batch_input_bytes(name, fmt, capsys):
     for stream, text in (("stdout", out), ("stderr", err)):
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == BATCH_INPUT_SHA256[f"{name} {fmt} {stream}"], stream
+
+
+def test_entry_writes_batch_json_whole(tmp_path):
+    # The process ends by os._exit, after the flush: every byte arrives,
+    # through a pipe and into a regular file.
+    argv = ["batch", "--max-degree", "30", "--format", "json"]
+    piped = cli_process(argv, capture_output=True)
+    path = tmp_path / "batch.json"
+    with open(path, "wb") as f:
+        written = cli_process(argv, stdout=f, stderr=subprocess.PIPE)
+    for result, out in ((piped, piped.stdout), (written, path.read_bytes())):
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert hashlib.sha256(out).hexdigest() == BATCH_MAX30_SHA256["json"]
+
+
+def test_entry_writes_every_skipped_line():
+    result = cli_process(["batch", "--input", str(DATA / "triples_bad.txt")], capture_output=True)
+    assert result.returncode == 2
+    for stream, data in (("stdout", result.stdout), ("stderr", result.stderr)):
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == BATCH_INPUT_SHA256[f"triples_bad.txt text {stream}"], stream
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) > 1
+    assert all(line.startswith("skipped line ") for line in lines)
 
 
 # sha256 of `classify N1 N2 N3 --format json` stdout, one triple per verdict

@@ -73,6 +73,12 @@ def test_divisor_class_adds_plain_tuples():
     assert isinstance((3, 4) + d, DivisorClass)
 
 
+def test_divisor_class_repr():
+    d = DivisorClass([1, -2])
+    assert repr(d) == "DivisorClass([1, -2])"
+    assert eval(repr(d), {"DivisorClass": DivisorClass}) == d
+
+
 def test_divisor_class_shape_mismatch():
     with pytest.raises(ShapeError):
         DivisorClass((1, 2)) + DivisorClass((1, 2, 3))
