@@ -10,19 +10,28 @@ Subcommands:
 
 Formats: ``--format text`` (default), ``json``, and for classify/batch
 ``csv``.  Output is deterministic: fixed field order, rows sorted by
-triple, no timestamps.  Exit codes: 0 success, 1 stdout closed before the
-output was written, 2 invalid input, 3 internal consistency failure (a
-cross-check between two routes disagreed, which is a bug, not a user
-error).
+triple, no timestamps.  Exit codes: 0 success, 1 stdout could not take the
+output (closed, or a write failed), 2 invalid input, 3 internal
+consistency failure (a cross-check between two routes disagreed, which is
+a bug, not a user error).
+
+One table, ``_GRAMMAR``, states every command's arguments.  ``main`` reads
+a canonical command line with a small exact parser over that table and
+hands anything else (help, abbreviations, refusals) to the argparse
+parser ``build_parser`` makes from the same table, so argparse loads only
+for those runs and writes every help screen and refusal.  All JSON comes
+from ``_dumps``, which writes what ``json.dumps(value, indent=2)`` would
+without loading the ``json`` package.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
 from functools import cache
 from itertools import islice, repeat
+from types import SimpleNamespace
 
 from .citations import (
     PROP_INVARIANTS,
@@ -74,45 +83,92 @@ EXCLUSION_NOTE = (
 
 
 def _parse_int(token: str, signed: bool) -> int | None:
-    """The integer a decimal token spells (a leading sign only when
-    ``signed``), or None if it spells none.  A token of more than
-    MAX_DIGITS digits raises ArgumentTypeError; that test comes first, so
-    no message repeats an overlong token."""
+    """The integer a decimal token of at most MAX_DIGITS digits spells (a
+    leading sign only when ``signed``), or None if it spells none."""
+    magnitude = token[1:] if signed and token[:1] in ("+", "-") else token
+    if len(magnitude) > MAX_DIGITS or not (magnitude.isascii() and magnitude.isdigit()):
+        return None
+    return int(token)
+
+
+def _int_refusal(token: str, signed: bool) -> str:
+    """Why ``_parse_int`` declined ``token``.  The digit ceiling is tested
+    first, so no message repeats an overlong token."""
     digits = len(token.lstrip("+-"))
     if digits > MAX_DIGITS:
-        raise argparse.ArgumentTypeError(
+        return (
             f"a number of {digits} digits is too long to parse "
             f"(the ceiling is {MAX_DIGITS} digits)"
         )
-    magnitude = token[1:] if signed and token[:1] in ("+", "-") else token
-    return int(token) if magnitude.isascii() and magnitude.isdigit() else None
+    if signed:
+        return f"expected an integer, got {token!r}"
+    return f"expected an unsigned integer (signs are rejected on degrees), got {token!r}"
+
+
+def _convert(text: str, signed: bool) -> int:
+    value = _parse_int(text, signed)
+    if value is None:
+        import argparse  # only a refused run gets here
+
+        raise argparse.ArgumentTypeError(_int_refusal(text, signed))
+    return value
 
 
 def unsigned_int(text: str) -> int:
     """Degree arguments: digits only, no signs."""
-    value = _parse_int(text, signed=False)
-    if value is None:
-        raise argparse.ArgumentTypeError(
-            f"expected an unsigned integer (signs are rejected on degrees), got {text!r}"
-        )
-    return value
+    return _convert(text, signed=False)
 
 
 def signed_int(text: str) -> int:
     """Integer arguments of at most MAX_DIGITS digits."""
-    value = _parse_int(text, signed=True)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return value
+    return _convert(text, signed=True)
+
+
+def _warn(text: str) -> None:
+    """Write ``text`` to stderr, unless descriptor 2 was closed at start-up."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
 
 
 # ---------------------------------------------------------------------------
 # query assembly and rendering
 #
 # ``_payload`` is the one place the row schema is written: ``query_payload``
-# returns it, and the JSON writer takes its templates from json.dumps of
+# returns it, and the JSON writer takes its templates from ``_dumps`` of
 # it.  CSV and text are written straight from the ``Classification``
 # record; the tests hold their cells to the payload.
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a value built from dicts with text
+    keys, lists, tuples, strings, integers, booleans and None, with
+    ``newline`` in place of each newline.  No ``json`` package: its decoder
+    compiles regexes a writer never uses.  Strings go through its C
+    encoder, as ``ensure_ascii`` has it."""
+    from _json import encode_basestring_ascii as encode
+
+    if isinstance(value, str):
+        return encode(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = [f"{encode(key)}: {_dumps(item, inner)}" for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        opening, closing = "[", "]"
+        items = [_dumps(item, inner) for item in value]
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+    if not items:
+        return opening + closing
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def _row_citations(c: Classification) -> tuple:
@@ -178,23 +234,17 @@ def query_payload(t) -> dict:
     return _payload(c, c.triple.parity)
 
 
-# JSON: json.dumps(..., indent=2) falls back to the stdlib's pure-Python
-# encoder, so rows are written from templates instead.  A template is
-# json.dumps of ``_payload`` on a record whose own values are slots; it is
-# made once per distinct verdict and indent.  json.dumps writes a text slot
-# as "\u0000" and an integer slot as "\u0001".  A row fills its integers by
-# ``%`` and its two texts, the line-bundle reason and the recipe's
-# tangency note, with the stdlib's C string encoder (ensure_ascii, as
-# json.dumps).  ``%`` scans only the spans that hold integer slots: one
-# %-template of the whole ~1.1 KB row was about 20% slower per row (2 CPUs,
-# Python 3.11.7).
-#
-# ``json`` loads only for JSON output: it is about 2 ms of every start-up.
-# So the slot spellings are literals, and a row takes the string encoder
-# from its template's cache entry.
+# JSON rows are written from templates, not by ``_dumps`` of each payload.
+# A template is ``_dumps`` of ``_payload`` on a record whose own values are
+# slots; it is made once per distinct verdict and indent.  ``_dumps`` writes
+# a text slot as "\u0000" and an integer slot as "\u0001".  A row fills its
+# integers by ``%`` and its two texts, the line-bundle reason and the
+# recipe's tangency note, with the C string encoder ``_dumps`` uses.  ``%``
+# scans only the spans that hold integer slots: one %-template of the whole
+# ~1.1 KB row was about 20% slower per row (2 CPUs, Python 3.11.7).
 
 _TEXT, _INT = "\x00", "\x01"
-_TEXT_JSON, _INT_JSON = '"\\u0000"', '"\\u0001"'  # json.dumps of each slot
+_TEXT_JSON, _INT_JSON = '"\\u0000"', '"\\u0001"'  # the JSON spelling of each slot
 
 
 def _int_template(text: str) -> str:
@@ -226,9 +276,9 @@ def _json_template(
     has_recipe: bool,
     indent: str,
 ) -> tuple:
-    """The stdlib's C string encoder and the cut template of a row with
-    these verdicts, ``indent`` before every line but the first."""
-    import json
+    """The C string encoder and the cut template of a row with these
+    verdicts, ``indent`` before every line but the first."""
+    from _json import encode_basestring_ascii
 
     slotted = Classification(
         BranchTriple._make((_INT,) * 3),
@@ -238,35 +288,41 @@ def _json_template(
         uc,
         CBRecipe._make((_INT,) * 7 + (_TEXT,)) if has_recipe else None,
     )
-    text = json.dumps(_payload(slotted, parity), indent=2)
-    return json.encoder.encode_basestring_ascii, _cut_at_slots(text.replace("\n", "\n" + indent))
+    text = _dumps(_payload(slotted, parity), "\n" + indent)
+    return encode_basestring_ascii, _cut_at_slots(text)
 
 
-@cache
-def _json_string(text: str) -> str:
-    """The JSON spelling of the one tangency note."""
-    from json.encoder import encode_basestring_ascii
-
-    return encode_basestring_ascii(text)
-
-
-def _query_json(c: Classification, indent: str = "") -> str:
+def _query_json(c: Classification, indent: str = "", templates: dict | None = None) -> str:
     """``json.dumps(query_payload(t), indent=2)``, with ``indent`` before
     every line but the first.  The schema lists the triple, the invariants
     and the recipe's numbers in record order, so the records fill the
-    integer slots as they are."""
-    t, inv, lb, r = c.triple, c.invariants, c.line_bundle, c.recipe
-    encode, pieces = _json_template(
-        t.parity, c.picard, lb.status, lb.citations, c.complexity, r is not None, indent
-    )
+    integer slots as they are.
+
+    ``templates`` is a memo the caller keeps across rows of one indent.  It
+    is keyed by the identities of the row's Picard and complexity records,
+    so a row hashes no nested record.  A complexity record is one of the
+    classifier's constants, each returned by one branch, which fixes the
+    rest of what the template reads: the line-bundle status and citations,
+    the parity and whether there is a recipe (the tests pin this).  Each
+    entry holds both records, so their identities cannot pass to other
+    objects while the memo lives."""
+    t, inv, r, pic, uc = c.triple, c.invariants, c.recipe, c.picard, c.complexity
+    if templates is None:
+        templates = {}
+    entry = templates.get((id(pic), id(uc)))
+    if entry is None:
+        lb = c.line_bundle
+        template = _json_template(t.parity, pic, lb.status, lb.citations, uc, r is not None, indent)
+        entry = templates[id(pic), id(uc)] = (pic, uc, template)
+    encode, pieces = entry[2]
     # Odd covers have no rank-two targets m, M.
     numbers = t + inv if inv.m is not None else t + inv[:6] + ("null", "null")
-    reason = encode(lb.reason)
+    reason = encode(c.line_bundle.reason)
     if r is None:
         head, span, before_reason, tail = pieces
         return "".join((head, span % numbers, before_reason, reason, tail))
     head, span, before_reason, middle, recipe_span, before_note, tail = pieces
-    note = "null" if r.tangency_note is None else _json_string(r.tangency_note)
+    note = "null" if r.tangency_note is None else encode(r.tangency_note)
     return "".join((
         head, span % numbers, before_reason, reason,
         middle, recipe_span % r[:7], before_note, note, tail,
@@ -358,13 +414,13 @@ def enumerate_triples(max_degree: int) -> list[BranchTriple]:
 def _line_refusal(tokens: list[str]) -> str:
     """Why a line whose tokens are not three unsigned degrees is skipped:
     the digit ceiling first, then the arity, then the first bad token."""
-    try:
-        degrees = [_parse_int(tok, signed=False) for tok in tokens]
-    except argparse.ArgumentTypeError as exc:
-        return str(exc)
-    if len(degrees) != 3:
-        return f"expected three degrees, got {len(degrees)}"
-    return f"degrees must be unsigned integers, got {tokens[degrees.index(None)]!r}"
+    overlong = [tok for tok in tokens if len(tok.lstrip("+-")) > MAX_DIGITS]
+    if overlong:
+        return _int_refusal(overlong[0], signed=False)
+    if len(tokens) != 3:
+        return f"expected three degrees, got {len(tokens)}"
+    bad = next(tok for tok in tokens if _parse_int(tok, signed=False) is None)
+    return f"degrees must be unsigned integers, got {bad!r}"
 
 
 def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
@@ -440,7 +496,7 @@ def cmd_batch(args) -> int:
             with open(args.input, "r", encoding="utf-8-sig") as stream:
                 triples, diagnostics = parse_triples_file(stream)
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+            _warn(f"error: cannot read {args.input}: {exc}\n")
             return 2
     else:
         triples = enumerate_triples(args.max_degree)
@@ -450,14 +506,15 @@ def cmd_batch(args) -> int:
     write = sys.stdout.write
     if args.format == "json":
         write("[\n  " if records else "[]\n")
-        _write_blocks(write, map(_query_json, records, repeat("  ")), ",\n  ", "\n]\n")
+        rows = map(_query_json, records, repeat("  "), repeat({}))
+        _write_blocks(write, rows, ",\n  ", "\n]\n")
     elif args.format == "csv":
         write(CSV_HEADER + "\n")
         _write_blocks(write, map(_csv_line, records), "\n", "\n")
     else:
         _write_table(records, write)
     if diagnostics:
-        sys.stderr.write("".join([f"skipped {diagnostic}\n" for diagnostic in diagnostics]))
+        _warn("".join([f"skipped {diagnostic}\n" for diagnostic in diagnostics]))
     return 2 if diagnostics else 0
 
 
@@ -472,9 +529,7 @@ def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
 
 def _print_verdict(verdict: FeasibilityVerdict, header: dict, fmt: str) -> None:
     if fmt == "json":
-        import json
-
-        print(json.dumps(header | {"verdict": _verdict_payload(verdict)}, indent=2))
+        print(_dumps(header | {"verdict": _verdict_payload(verdict)}))
     else:
         for key, value in header.items():
             print(f"{key}: {value}")
@@ -535,18 +590,16 @@ def _lattice_json(preset: str, bound: int, degree: int, selfint: int, described)
     """``json.dumps(..., indent=2)`` of a lattice search: the header with two
     text slots for hits, whose separator joins the hits, and a %-template
     of one hit for each rank1_ulrich value."""
-    import json
-
     header = {"search": "lattice", "preset": preset, "bound": bound,
               "degree": degree, "selfint": selfint, "hits": []}
     if not described:
-        return json.dumps(header, indent=2)
+        return _dumps(header)
     header["hits"] = [_TEXT, _TEXT]
-    head, sep, tail = json.dumps(header, indent=2).split(_TEXT_JSON)
+    head, sep, tail = _dumps(header).split(_TEXT_JSON)
     hit = {"coords": [_INT] * len(described[0][0]), "degree": degree,
            "selfint": selfint, "genus": _INT}
     templates = [
-        _int_template(json.dumps(hit | {"rank1_ulrich": ulrich}, indent=2).replace("\n", sep[1:]))
+        _int_template(_dumps(hit | {"rank1_ulrich": ulrich}, sep[1:]))
         for ulrich in (False, True)
     ]
     return head + sep.join(
@@ -583,9 +636,7 @@ def cmd_presets(args) -> int:
             }
         )
     if args.format == "json":
-        import json
-
-        print(json.dumps(entries, indent=2))
+        print(_dumps(entries))
         return 0
     blocks = []
     for entry in entries:
@@ -607,118 +658,195 @@ def cmd_presets(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parsers
+#
+# ``_GRAMMAR`` states every command once, for both parsers.  A command is
+# (help, function name, arguments), a command group (help, commands).  An
+# argument is its name, "--name" for an option, and its argparse settings;
+# "exclusive" marks the members of the command's one required mutually
+# exclusive group.  The table names the functions rather than holding
+# them, so a rebinding of ``cmd_batch`` and its siblings in this module
+# takes effect.
+
+_FORMAT = {"choices": ["text", "json", "csv"], "default": "text",
+           "help": "output format (default: text)"}
+_SEARCH_FORMAT = {**_FORMAT, "choices": ["text", "json"]}
+_DEGREE = {"type": unsigned_int}
+
+_GRAMMAR = {
+    "classify": ("full verdict for one triple of branch degrees", "cmd_classify", (
+        ("n1", _DEGREE), ("n2", _DEGREE), ("n3", _DEGREE), ("--format", _FORMAT),
+    )),
+    "batch": ("classification table over many triples", "cmd_batch", (
+        ("--input", {"exclusive": True,
+                     "help": "file of whitespace-separated triples, '#' comments allowed"}),
+        ("--max-degree", {"exclusive": True, "type": unsigned_int,
+                          "help": "enumerate all admissible sorted triples with n3 <= N"}),
+        ("--format", _FORMAT),
+    )),
+    "search": ("run one elimination argument or search", {
+        "rho1": ("rank-1 elimination on an even Picard-number-one cover", "cmd_search_rho1", (
+            ("--triple", {"type": unsigned_int, "nargs": 3, "required": True}),
+            ("--format", _SEARCH_FORMAT),
+        )),
+        "p1xp1": ("quadric discriminant route for (0,2,2n) covers", "cmd_search_p1xp1", (
+            ("--n", {"type": unsigned_int, "required": True}),
+            ("--bound", {"type": unsigned_int,
+                         "help": "box bound for the cross-check (default 10(n+1))"}),
+            ("--format", _SEARCH_FORMAT),
+        )),
+        "lattice": ("brute-force class search on a preset lattice", "cmd_search_lattice", (
+            ("--preset", {"required": True,
+                          "help": "p1xp1, k3_024, delpezzoN, or rank1_bidouble"}),
+            ("--triple", {"type": unsigned_int, "nargs": 3,
+                          "help": "branch degrees for rank1_bidouble"}),
+            ("--degree", {"type": unsigned_int, "required": True}),
+            ("--selfint", {"type": signed_int, "required": True}),
+            ("--bound", {"type": unsigned_int,
+                         "help": "coordinate box bound (default 10(degree+1))"}),
+            ("--format", _SEARCH_FORMAT),
+        )),
+    }),
+    "presets": ("list built-in lattices with Gram matrices", "cmd_presets", (
+        ("--format", _SEARCH_FORMAT),
+    )),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ``ArgumentParser`` whose refusal is one stderr line, without the usage."""
+def _add_commands(parser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, *body) in commands.items():
+        command = sub.add_parser(name, help=help_text)
+        if len(body) == 1:
+            _add_commands(command, f"{name}_command", body[0])
+            continue
+        func, arguments = body
+        group = None
+        for arg, settings in arguments:
+            settings = dict(settings)
+            target = command
+            if settings.pop("exclusive", False):
+                group = group or command.add_mutually_exclusive_group(required=True)
+                target = group
+            target.add_argument(arg, **settings)
+        command.set_defaults(func=globals()[func])
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
+def build_parser():
+    """The argparse parser of ``_GRAMMAR``, whose refusal is one stderr
+    line without the usage."""
+    import argparse
 
-def _add_format(parser, choices=("text", "json", "csv")) -> None:
-    parser.add_argument(
-        "--format",
-        choices=list(choices),
-        default="text",
-        help="output format (default: text)",
-    )
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bidouble",
         description="Exact classification of Ulrich bundle data on bidouble planes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_classify = sub.add_parser(
-        "classify", help="full verdict for one triple of branch degrees"
-    )
-    p_classify.add_argument("n1", type=unsigned_int)
-    p_classify.add_argument("n2", type=unsigned_int)
-    p_classify.add_argument("n3", type=unsigned_int)
-    _add_format(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_batch = sub.add_parser("batch", help="classification table over many triples")
-    source = p_batch.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--input", help="file of whitespace-separated triples, '#' comments allowed"
-    )
-    source.add_argument(
-        "--max-degree",
-        type=unsigned_int,
-        help="enumerate all admissible sorted triples with n3 <= N",
-    )
-    _add_format(p_batch)
-    p_batch.set_defaults(func=cmd_batch)
-
-    p_search = sub.add_parser("search", help="run one elimination argument or search")
-    search_sub = p_search.add_subparsers(dest="search_command", required=True)
-
-    p_rho1 = search_sub.add_parser(
-        "rho1", help="rank-1 elimination on an even Picard-number-one cover"
-    )
-    p_rho1.add_argument("--triple", type=unsigned_int, nargs=3, required=True)
-    _add_format(p_rho1, choices=("text", "json"))
-    p_rho1.set_defaults(func=cmd_search_rho1)
-
-    p_quadric = search_sub.add_parser(
-        "p1xp1", help="quadric discriminant route for (0,2,2n) covers"
-    )
-    p_quadric.add_argument("--n", type=unsigned_int, required=True)
-    p_quadric.add_argument(
-        "--bound", type=unsigned_int, help="box bound for the cross-check (default 10(n+1))"
-    )
-    _add_format(p_quadric, choices=("text", "json"))
-    p_quadric.set_defaults(func=cmd_search_p1xp1)
-
-    p_lattice = search_sub.add_parser(
-        "lattice", help="brute-force class search on a preset lattice"
-    )
-    p_lattice.add_argument(
-        "--preset", required=True, help="p1xp1, k3_024, delpezzoN, or rank1_bidouble"
-    )
-    p_lattice.add_argument(
-        "--triple", type=unsigned_int, nargs=3, help="branch degrees for rank1_bidouble"
-    )
-    p_lattice.add_argument("--degree", type=unsigned_int, required=True)
-    p_lattice.add_argument("--selfint", type=signed_int, required=True)
-    p_lattice.add_argument(
-        "--bound",
-        type=unsigned_int,
-        help="coordinate box bound (default 10(degree+1))",
-    )
-    _add_format(p_lattice, choices=("text", "json"))
-    p_lattice.set_defaults(func=cmd_search_lattice)
-
-    p_presets = sub.add_parser("presets", help="list built-in lattices with Gram matrices")
-    _add_format(p_presets, choices=("text", "json"))
-    p_presets.set_defaults(func=cmd_presets)
-
+    _add_commands(parser, "command", _GRAMMAR)
     return parser
 
 
+# Whether each converter of the table takes a sign, as the exact parser
+# reads it: a converter missing here fails loudly, not as the wrong one.
+_SIGNED = {unsigned_int: False, signed_int: True}
+
+
+def _exact_value(token: str, settings: dict):
+    """``token`` as argparse converts it for an argument with these
+    settings, or None where argparse would refuse it or might not read it
+    as a value: only a signed integer may start with "-"."""
+    convert = settings.get("type")
+    if convert is not None:
+        value = _parse_int(token, signed=_SIGNED[convert])
+    else:
+        value = None if token.startswith("-") else token
+    choices = settings.get("choices")
+    return None if choices is not None and value not in choices else value
+
+
+def _parse_exact(argv):
+    """``build_parser().parse_args(argv)`` of a canonical ``argv``, read
+    without argparse, or None to leave ``argv`` to argparse.  Canonical is:
+    the command words, every positional, then each option at most once,
+    spelled in full and followed by its values, every value converted and
+    among its choices, every required argument given.  Help, "--", the
+    "--opt=value" form and abbreviations are never canonical."""
+    values, dest, commands, i = {}, "command", _GRAMMAR, 0
+    while True:
+        if i == len(argv) or argv[i] not in commands:
+            return None
+        name, entry = argv[i], commands[argv[i]]
+        values[dest] = name
+        i += 1
+        if len(entry) == 3:
+            break
+        dest, commands = f"{name}_command", entry[1]
+    _, func, arguments = entry
+    options, seen, exclusive = {}, set(), 0
+    for arg, settings in arguments:
+        if arg.startswith("--"):
+            options[arg] = settings
+            values[arg[2:].replace("-", "_")] = settings.get("default")
+            continue
+        value = _exact_value(argv[i], settings) if i < len(argv) else None
+        if value is None:
+            return None
+        values[arg] = value
+        i += 1
+    while i < len(argv):
+        arg = argv[i]
+        settings = options.get(arg)
+        if settings is None or arg in seen:
+            return None
+        seen.add(arg)
+        count = settings.get("nargs", 1)
+        tokens = argv[i + 1:i + 1 + count]
+        converted = [_exact_value(token, settings) for token in tokens]
+        if len(tokens) < count or None in converted:
+            return None
+        values[arg[2:].replace("-", "_")] = converted if "nargs" in settings else converted[0]
+        exclusive += bool(settings.get("exclusive"))
+        i += 1 + count
+    for arg, settings in arguments:
+        if settings.get("required") and arg not in seen:
+            return None
+    if any(settings.get("exclusive") for _, settings in arguments) and exclusive != 1:
+        return None
+    values["func"] = globals()[func]
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if sys.stdout is None:  # descriptor 1 was closed at start-up
+        _warn("error: cannot write output: stdout is closed\n")
+        return 1
+    if argv is None:
+        argv = sys.argv[1:]
     try:
         try:
-            args = parser.parse_args(argv)  # --help writes, then raises SystemExit
+            # argparse reads what the exact parser declines; --help writes,
+            # then raises SystemExit.
+            args = _parse_exact(argv) or build_parser().parse_args(argv)
             return args.func(args)
         finally:
-            sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
-    except BrokenPipeError:
-        # The reader left: what is still buffered goes to the null device,
-        # so the flush at exit has nothing left to fail on.
+            sys.stdout.flush()  # a failed write shows here, not in the flush at exit
+    except OSError as exc:
+        # stdout cannot take the output: the reader left, or the device is
+        # full.  What is still buffered goes to the null device, so the
+        # flush at exit has nothing left to fail on.  Input files are read
+        # inside cmd_batch, which reports its own OSError.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            _warn(f"error: cannot write output: {exc}\n")
         return 1
     except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        _warn(f"internal consistency failure: {exc}\n")
         return 3
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}\n")
         return 2
 
 
@@ -728,12 +856,15 @@ def run() -> None:
     Once both streams are flushed the output is durable, and interpreter
     teardown would only free memory the exit frees anyway: 6-10 ms of every
     run (2 CPUs, Python 3.11.7).  So the process ends by ``os._exit``: no
-    ``atexit`` handler runs and no shutdown warning is reported.  A
-    ``SystemExit`` without an integer code and any other exception, a
-    failed flush included, leave by the normal path, with its traceback
-    and exit status.  Library callers call ``main()``, which returns the
-    code.
+    ``atexit`` handler runs and no shutdown warning is reported.  The cycle
+    collector is off for the run: no path leaves cyclic garbage for it to
+    find (the tests hold every command to that), and its passes over the
+    records a batch holds cost 1-3 ms.  A ``SystemExit`` without an integer
+    code and any other exception, a failed flush included, leave by the
+    normal path, with its traceback and exit status.  Library callers call
+    ``main()``, which returns the code and leaves the collector as it is.
     """
+    gc.disable()
     try:
         code = main()
     except SystemExit as exc:  # argparse: --help exits 0, a refusal 2

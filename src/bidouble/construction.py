@@ -14,12 +14,12 @@ Pulled back to the cover, 1 + deg(C) - deg(C') = m makes c1 = mH and
 #Z = M makes c2 = M, matching the special Ulrich targets exactly.  The
 triple (0,2,2) has m = 2 and is the one even case the recipe excludes.
 
-``_check_recipe`` tests every numerical identity the construction rests
-on, once, as integers and booleans; ``classify_triple`` runs it on every
-even row.  The labelled check table, whose rows hold (label, cite, holds,
-template, numbers), is built from its results only where it is read: by
-``verify_recipe``, which renders it line by line, and on a failure, to
-name the failed lines.  The sheaf-level steps (the extension defining the
+``_check_recipe`` tests the recipe's block layout and every numerical
+identity the construction rests on, once, as integers and booleans;
+``classify_triple`` runs it on every even row.  The labelled check table,
+whose rows hold (label, cite, holds, template, numbers), is built from its
+results only where it is read: by ``verify_recipe``, which renders it
+line by line, and on a failure, to name the failed lines.  The sheaf-level steps (the extension defining the
 bundle, existence of the needed sections) are recorded as paper-certified,
 never recomputed.
 """
@@ -53,17 +53,27 @@ class CBRecipe(
     __slots__ = ()
 
     def __new__(cls, m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note):
-        if residue not in (0, 2):
-            raise DomainError(f"residue must be 0 or 2, got {residue}")
-        if big_m % 4 != residue:
-            raise DomainError(f"residue {residue} does not match M = {big_m} mod 4")
-        if deg_e1 != 1:
-            raise DomainError(f"E1 is a line; its degree is 1, got {deg_e1}")
-        if (tangency_note is not None) != (residue == 2):
-            raise DomainError("tangency note is present exactly in the residue-2 case")
+        fault = _layout_fault(big_m, residue, deg_e1, tangency_note)
+        if fault is not None:
+            raise DomainError(fault)
         return tuple.__new__(
             cls, (m, big_m, residue, deg_e1, deg_c, deg_cprime, z_count, tangency_note)
         )
+
+
+def _layout_fault(big_m, residue, deg_e1, tangency_note) -> str | None:
+    """What is wrong with a recipe's block layout, or None: the residue is
+    M mod 4 and 0 or 2, E1 is a line, and the tangency note is present
+    exactly at residue 2."""
+    if residue not in (0, 2):
+        return f"residue must be 0 or 2, got {residue}"
+    if big_m % 4 != residue:
+        return f"residue {residue} does not match M = {big_m} mod 4"
+    if deg_e1 != 1:
+        return f"E1 is a line; its degree is 1, got {deg_e1}"
+    if (tangency_note is not None) != (residue == 2):
+        return "tangency note is present exactly in the residue-2 case"
+    return None
 
 
 def special_rank2_recipe(t) -> CBRecipe:
@@ -96,11 +106,15 @@ def _build_recipe(t: BranchTriple, inv: SurfaceInvariants) -> CBRecipe:
             f"M = {big_m} is odd for {tuple_text(t)}; M = m^2 + sum m_i^2 is always even "
             f"({THM_RANK_TWO})"
         )
+    # tuple.__new__ skips CBRecipe's validating constructor; _check_recipe
+    # tests the layout with the other identities.
     if big_m % 4 == 0:
         deg_c = big_m // 4
-        return CBRecipe(m, big_m, 0, 1, deg_c, deg_c + 1 - m, 4 * deg_c, None)
+        return tuple.__new__(CBRecipe, (m, big_m, 0, 1, deg_c, deg_c + 1 - m, 4 * deg_c, None))
     deg_c = (big_m + 2) // 4  # M = 2 mod 4: one residual block of length 2
-    return CBRecipe(m, big_m, 2, 1, deg_c, deg_c + 1 - m, 4 * (deg_c - 1) + 2, TANGENCY_NOTE)
+    return tuple.__new__(
+        CBRecipe, (m, big_m, 2, 1, deg_c, deg_c + 1 - m, 4 * (deg_c - 1) + 2, TANGENCY_NOTE)
+    )
 
 
 # The lines of the recipe check table, in report order: (label, cite,
@@ -128,7 +142,12 @@ def _check_recipe(t: BranchTriple, recipe: CBRecipe, inv: SurfaceInvariants) -> 
     # Tests the lines of ``_RECIPE_LINES`` as integers, in order, and
     # returns (holds, numbers), the numbers as the templates index them.
     m, big_m = inv.m, inv.big_m
-    r_m, r_big_m, residue, e1, c, cprime, z_count, _ = recipe
+    r_m, r_big_m, residue, e1, c, cprime, z_count, note = recipe
+    fault = _layout_fault(r_big_m, residue, e1, note)
+    if fault is not None:
+        raise ConsistencyError(
+            f"recipe layout failed on {tuple_text(t)}: {fault} ({THM_RANK_TWO})"
+        )
     c1 = e1 + c - cprime
     if residue == 0:
         blocks_text, blocks = "4 * deg C", 4 * c

@@ -436,6 +436,9 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
         return found
 
     collect(0, degree_target, selfint_target, (0,) * rank, ())
+    # collect reaches itself through its closure; emptying that cell frees
+    # the closures without the cycle collector, which the CLI turns off.
+    del collect
     return out
 
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import importlib.util
 import io
@@ -521,9 +522,9 @@ def test_batch_input_long_lines(capsys, tmp_path):
 
 def test_cli_import_leaves_numpy_out():
     # Neither numpy nor the heavy standard modules load at start-up, no
-    # rational arithmetic either, and no json, which only JSON output
-    # needs; the probe counts only what the import adds, not what site
-    # preloads.
+    # rational arithmetic either, no json and no argparse, which only help
+    # and refusals need; the probe counts only what the import adds, not
+    # what site preloads.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     for module in ("bidouble.cli", "bidouble"):
@@ -531,7 +532,7 @@ def test_cli_import_leaves_numpy_out():
             f"import sys; before = set(sys.modules); import {module}; "
             "new = set(sys.modules) - before; "
             "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions', 'numbers', "
-            "'json'}))"
+            "'json', 'argparse'}))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
@@ -541,8 +542,9 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_json_loads_only_for_json_output():
-    # Text, CSV and refused runs never load json; a JSON run does.  -S keeps
-    # site from preloading anything.
+    # No run loads json: text, CSV and refused runs have no use for it, and
+    # JSON output comes from cli._dumps.  -S keeps site from preloading
+    # anything.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = (
@@ -568,8 +570,168 @@ def test_json_loads_only_for_json_output():
     assert result.returncode == 0, result.stderr
     runs = result.stderr.splitlines()[-1]
     assert runs == (
-        "[[0, False], [0, False], [0, False], [2, False], [2, False], [0, True]]"
+        "[[0, False], [0, False], [0, False], [2, False], [2, False], [0, False]]"
     )
+
+
+# The runs of every command the exact parser reads; the batch file has
+# skipped lines, so that run exits 2 without argparse as well.
+EXACT_RUNS = [
+    ["classify", "2", "4", "6", "--format", "csv"],
+    ["classify", "2", "4", "6"],
+    ["classify", "1", "3", "5", "--format", "json"],
+    ["classify", "1", "2", "3"],
+    ["batch", "--max-degree", "8", "--format", "json"],
+    ["batch", "--input", str(DATA / "triples_bad.txt")],
+    ["search", "rho1", "--triple", "2", "4", "6", "--format", "json"],
+    ["search", "p1xp1", "--n", "3"],
+    ["search", "lattice", "--preset", "delpezzo4", "--degree", "3", "--selfint", "-1",
+     "--bound", "3", "--format", "json"],
+    ["presets", "--format", "json"],
+    ["presets"],
+]
+
+
+@pytest.mark.parametrize(
+    "fallback, code",
+    [(["--help"], 0), (["classify", "2", "4", "x"], 2),
+     (["classify", "2", "4", "6", "--form", "json"], 0)],
+    ids=["help", "refusal", "abbreviation"],
+)
+def test_argparse_loads_only_for_help_and_refusals(fallback, code):
+    # Every run of EXACT_RUNS leaves argparse and json unloaded; help, a
+    # refusal and an abbreviated option load argparse, still not json.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys\n"
+        "from bidouble.cli import main\n"
+        "def loaded(argv):\n"
+        "    try:\n"
+        "        code = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    return [code, 'argparse' in sys.modules, 'json' in sys.modules]\n"
+        f"print([loaded(argv) for argv in {EXACT_RUNS + [fallback]!r}], file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    runs = eval(result.stderr.splitlines()[-1])
+    codes = [0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert runs == [[c, False, False] for c in codes] + [[code, True, False]]
+
+
+LATTICE_ARGV = ["search", "lattice", "--preset", "delpezzo4", "--degree", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "2", "4", "6", "-h"],
+        ["classify", "--help"],
+        ["classify", "--", "2", "4", "6"],
+        ["classify", "2", "4", "6", "--format=json"],
+        ["classify", "2", "4", "6", "--form", "json"],
+        ["classify", "2", "4", "6", "--format", "json", "--format", "json"],
+        ["classify", "2", "4", "6", "--format", "xml"],
+        ["classify", "+44", "4", "6"],
+        ["classify", "2", "4", "9" * 1001],
+        ["classify", "--format", "json", "2", "4", "6"],
+        ["classify", "2", "4"],
+        ["classify", "2", "4", "6", "8"],
+        ["batch", "--format", "csv"],
+        ["batch", "--input", "a", "--max-degree", "6"],
+        ["batch", "--input", "-"],
+        ["search", "rho1", "--triple", "2", "4"],
+        ["search", "p1xp1", "--format", "csv", "--n", "3"],
+        [*LATTICE_ARGV, "--selfint", "-x"],
+        [*LATTICE_ARGV, "--selfint", "1", "--preset", "p1xp1"],
+        ["search", "lattice", "--preset", "-h", "--degree", "3", "--selfint", "1"],
+        ["search", "lattice", "--degree", "3", "--selfint", "1"],
+        ["search"],
+        ["--help"],
+        [],
+    ],
+)
+def test_exact_parser_declines(argv):
+    assert cli._parse_exact(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "2", "4", "6"],
+        ["batch", "--format", "json", "--input", "x"],
+        [*LATTICE_ARGV, "--selfint", "-217", "--bound", "8", "--format", "json"],
+        [*LATTICE_ARGV, "--selfint", "+5", "--triple", "2", "2", "2"],
+        ["search", "p1xp1", "--n", "3", "--bound", "0007"],
+    ],
+)
+def test_exact_parser_reads_what_argparse_reads(argv):
+    assert vars(cli._parse_exact(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_fallback_parse_writes_the_same_bytes(capsys):
+    # An abbreviated option goes to argparse, which reads the same namespace.
+    assert cli._parse_exact(["classify", "2", "4", "6", "--form", "json"]) is None
+    assert run(["classify", "2", "4", "6", "--form", "json"], capsys) == run(
+        ["classify", "2", "4", "6", "--format", "json"], capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "2", "4", "6"], ["classify", "2", "4", "6", "--form", "text"]],
+    ids=["exact", "argparse"],
+)
+def test_command_functions_are_looked_up_at_call_time(argv, monkeypatch):
+    # The benchmark's traced runs rebind cli.cmd_classify and its siblings;
+    # both parsers must call the rebound function.
+    calls = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: calls.append(vars(args)) or 0)
+    assert cli.main(argv) == 0
+    assert [call["func"] for call in calls] == [cli.cmd_classify]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["batch", "--max-degree", "12", "--format", "csv"], 0),
+        (["batch", "--input", str(DATA / "triples_bad.txt"), "--format", "json"], 2),
+        (["classify", "2", "4", "6", "--format", "json"], 0),
+        (["classify", "1", "2", "4"], 2),
+        (["search", "rho1", "--triple", "2", "4", "6", "--format", "json"], 0),
+        (["search", "p1xp1", "--n", "3", "--format", "json"], 0),
+        (["presets", "--format", "json"], 0),
+        (["search", "lattice", "--preset", "delpezzo4", "--degree", "3", "--selfint", "1",
+          "--bound", "4", "--format", "json"], 0),
+    ],
+    ids=["sweep", "file", "classify", "invalid", "rho1", "p1xp1", "presets", "lattice"],
+)
+def test_runs_leave_no_cyclic_garbage(argv, code, capsys):
+    # cli.run turns the cycle collector off, so no run may leave cycles.
+    cli.main(argv)  # first runs fill caches and import lazily
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_run_turns_the_cycle_collector_off(exit_codes, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    try:
+        with pytest.raises(_Exited):
+            cli.run()
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 def test_slot_literals_are_the_json_spellings():
@@ -631,6 +793,31 @@ def test_main_sends_a_closed_stdout_to_the_null_device(monkeypatch, capsys):
     finally:
         stdout.close()
     assert capsys.readouterr().err == ""
+
+
+def test_closed_descriptor_exits_1_without_traceback():
+    # With descriptor 1 closed at start-up sys.stdout is None: one line on
+    # stderr, exit 1, for a run of each parser.
+    for argv in (["classify", "2", "4", "6"], ["--help"]):
+        result = cli_process(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                             preexec_fn=lambda: os.close(1))
+        assert result.returncode == 1
+        assert result.stderr == b"error: cannot write output: stdout is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "2", "4", "6"], ["batch", "--max-degree", "30", "--format", "json"]],
+    ids=["classify", "batch"],
+)
+def test_full_device_exits_1_without_traceback(argv):
+    # Every write to /dev/full fails with ENOSPC, inside the command or at
+    # the flush.  (argparse drops a failed --help write and exits 0.)
+    with open("/dev/full", "wb") as full:
+        result = cli_process(argv, stdout=full, stderr=subprocess.PIPE)
+    assert result.returncode == 1
+    assert result.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
 
 
 class _Exited(Exception):
@@ -886,6 +1073,24 @@ def test_template_constants_hold_no_slot():
             texts |= {pic.family, *(w.cite for w in pic.witnesses)}
     assert len(families) == 4
     assert [s for s in texts if "\x00" in s or "\x01" in s] == []
+
+
+def test_complexity_record_fixes_the_template_fields():
+    # The JSON writer keys its templates by the identities of the Picard and
+    # complexity records: each complexity record is a classifier constant
+    # that fixes the template's other fields.
+    constants = {id(v): v for v in vars(classify_module).values()
+                 if isinstance(v, classify_module.ComplexityVerdict)}
+    fields = {}
+    triples = cli.enumerate_triples(30) + [(0, 2, 2 * n) for n in (40, 10**30)]
+    for t in triples:
+        c = classify_module.classify_triple(t)
+        assert constants[id(c.complexity)] is c.complexity
+        fields.setdefault(id(c.complexity), set()).add(
+            (c.line_bundle.status, c.line_bundle.citations, c.triple.parity, c.recipe is None)
+        )
+    assert len(fields) == len(constants) == 6
+    assert all(len(seen) == 1 for seen in fields.values())
 
 
 def test_json_writer_takes_percent_signs(monkeypatch):

@@ -3,7 +3,15 @@ import re
 
 import pytest
 
-from bidouble.construction import CBRecipe, _build_recipe, special_rank2_recipe, verify_recipe
+import bidouble.classify as classify_module
+import bidouble.cli as cli
+from bidouble.construction import (
+    CBRecipe,
+    _build_recipe,
+    _check_recipe,
+    special_rank2_recipe,
+    verify_recipe,
+)
 from bidouble.errors import ConsistencyError, DomainError, ExcludedCaseError
 from bidouble.geometry import invariants, validate_triple
 from bidouble.numerics import special_ulrich_targets
@@ -144,3 +152,44 @@ def test_build_recipe_guards_fire(change, needle):
     t = validate_triple((2, 4, 6))
     with pytest.raises(ConsistencyError, match=re.escape(needle)):
         _build_recipe(t, invariants(t)._replace(**change))
+
+
+@pytest.mark.parametrize(
+    "change, needle",
+    [
+        ({"residue": 1}, "residue must be 0 or 2, got 1"),
+        ({"residue": 0, "tangency_note": None}, "residue 0 does not match M = 50 mod 4"),
+        ({"deg_e1": 2}, "E1 is a line; its degree is 1, got 2"),
+        ({"tangency_note": None}, "tangency note is present exactly in the residue-2 case"),
+    ],
+    ids=["residue_1", "residue_mismatch", "e1_not_a_line", "note_missing"],
+)
+def test_check_recipe_layout_fires(change, needle, monkeypatch, capsys):
+    # _build_recipe skips CBRecipe's validating constructor, so the row's
+    # check owns the layout: a broken one is a consistency failure, exit 3.
+    t = validate_triple((2, 4, 6))
+    broken = special_rank2_recipe(t)._replace(**change)
+    with pytest.raises(ConsistencyError, match=re.escape(f"recipe layout failed on (2, 4, 6): "
+                                                         f"{needle}")):
+        _check_recipe(t, broken, invariants(t))
+    with pytest.raises(DomainError, match=re.escape(needle)):
+        CBRecipe(*broken)
+    monkeypatch.setattr(classify_module, "_build_recipe", lambda t, inv: broken)
+    assert cli.main(["classify", "2", "4", "6"]) == 3
+    assert capsys.readouterr() == (
+        "", f"internal consistency failure: recipe layout failed on (2, 4, 6): {needle} "
+            f"(Thm. 5.1)\n"
+    )
+
+
+def test_built_recipe_skips_the_validating_constructor(monkeypatch):
+    # Rows build their recipe with tuple.__new__; the layout is checked in
+    # _check_recipe with the other identities.
+    def refuse(*args, **kwargs):
+        raise AssertionError("CBRecipe.__new__ called")
+
+    monkeypatch.setattr(CBRecipe, "__new__", refuse)
+    t = validate_triple((2, 4, 6))
+    recipe = _build_recipe(t, invariants(t))
+    assert type(recipe) is CBRecipe and recipe.residue == 2
+    _check_recipe(t, recipe, invariants(t))

@@ -316,3 +316,153 @@ def test_json_writer_matches_stdlib(triples):
         code, out, err = run_cli(["batch", "--input", str(path), "--format", "json"])
     assert (code, err) == (0, "")
     assert out == json.dumps([payloads[t] for t in sorted(payloads)], indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The exact parser against argparse, each over cli._GRAMMAR
+
+
+def _leaves(commands, words=()):
+    """(command words, arguments) of every command in the grammar."""
+    for name, (_, *body) in commands.items():
+        if len(body) == 1:
+            yield from _leaves(body[0], words + (name,))
+        else:
+            yield words + (name,), body[1]
+
+
+COMMANDS = list(_leaves(cli._GRAMMAR))
+
+
+def value_tokens(settings):
+    """Tokens argparse converts for an argument with these settings."""
+    if "choices" in settings:
+        return st.sampled_from(settings["choices"])
+    if settings.get("type") is cli.signed_int:
+        return st.integers(-10**6, 10**6).map(str) | st.integers(0, 99).map(lambda v: f"+{v}")
+    if settings.get("type") is cli.unsigned_int:
+        return st.integers(0, 10**6).map(str) | st.just("0" * 7)
+    return st.text("abcdefghijklmnopqrstuvwxyz0123456789_./ =", max_size=12)
+
+
+def option_group(draw, arg, settings, values=None):
+    values = value_tokens(settings) if values is None else values
+    return [arg, *(draw(values) for _ in range(settings.get("nargs", 1)))]
+
+
+@st.composite
+def canonical_groups(draw):
+    """A canonical argv in groups, the command words, one group per
+    positional value, then one per option with its values; and the
+    command's arguments."""
+    words, arguments = draw(st.sampled_from(COMMANDS))
+    groups, options = [list(words)], []
+    exclusive = [arg for arg, s in arguments if s.get("exclusive")]
+    chosen = draw(st.sampled_from(exclusive)) if exclusive else None
+    for arg, settings in arguments:
+        if not arg.startswith("--"):
+            groups.append([draw(value_tokens(settings))])
+        elif settings.get("required") or arg == chosen or (
+            not settings.get("exclusive") and draw(st.booleans())
+        ):
+            options.append(option_group(draw, arg, settings))
+    return groups + draw(st.permutations(options)), arguments
+
+
+def canonical_argv():
+    return canonical_groups().map(lambda drawn: [token for g in drawn[0] for token in g])
+
+
+# Tokens a mutation puts in: help, "--", the "=" form, abbreviations,
+# signs, other commands' options, overlong numbers, empty text.
+ODD_TOKENS = st.sampled_from([
+    "-h", "--help", "--", "--form", "--format=json", "--max", "--in", "--sel", "-5", "+5",
+    "-", "", "x", "json", "csv", "xml", "classify", "search", "--triple", "--n", "--bound",
+    "--preset", "--selfint", "--degree", "--input", "--max-degree", "1" * 1001, "-0",
+    "--format", "2", "4 6", "-x y", "\u0663",
+])
+ALL_OPTIONS = sorted({(arg, i) for i, (_, arguments) in enumerate(COMMANDS)
+                      for arg, _ in arguments if arg.startswith("--")})
+
+
+@st.composite
+def mutated_argv(draw):
+    """A canonical argv with one or two mutations: a group dropped,
+    repeated or swapped; an option of this or any command added, with
+    values its settings take or odd tokens; a token replaced by an odd
+    one, or an odd token added (also in place of a mutation that finds
+    no group)."""
+    groups, arguments = draw(canonical_groups())
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.integers(0, 6))
+        i = draw(st.integers(0, max(len(groups) - 1, 0)))
+        where = draw(st.integers(0, len(groups)))
+        if kind == 0 and groups:
+            del groups[i]
+        elif kind == 1 and groups:
+            groups.insert(where, list(groups[i]))
+        elif kind == 2 and groups:
+            j = draw(st.integers(0, len(groups) - 1))
+            groups[i], groups[j] = groups[j], groups[i]
+        elif kind in (3, 4):
+            options = [arg for arg, _ in arguments if arg.startswith("--")]
+            if kind == 3 and options:
+                arg = draw(st.sampled_from(options))
+                settings = dict(arguments)[arg]
+            else:
+                arg, command = draw(st.sampled_from(ALL_OPTIONS))
+                settings = dict(COMMANDS[command][1])[arg]
+            values = value_tokens(settings) | ODD_TOKENS
+            groups.insert(where, option_group(draw, arg, settings, values))
+        elif kind == 5 and groups:
+            group = groups[i]
+            group[draw(st.integers(0, len(group) - 1))] = draw(ODD_TOKENS)
+        else:
+            groups.insert(where, [draw(ODD_TOKENS)])
+    return [token for g in groups for token in g]
+
+
+PARSER = cli.build_parser()
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace, or None where it refuses argv."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_argv())
+def test_exact_parser_reads_every_canonical_argv(argv):
+    exact = cli._parse_exact(argv)
+    assert exact is not None, argv
+    assert vars(exact) == argparse_vars(argv)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_argv())
+def test_exact_parser_agrees_with_argparse(argv):
+    # The exact parser declines, or reads what argparse reads: defaults,
+    # "triple" as a list and "func" included.
+    exact = cli._parse_exact(argv)
+    if exact is not None:
+        assert vars(exact) == argparse_vars(argv), argv
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@SETTINGS
+@given(json_values)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+    assert cli._dumps(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")

@@ -24,6 +24,8 @@ FIRING_TESTS = {
         ("test_construction.py", "test_build_recipe_guards_fire"),
     ("construction", "_build_recipe", "M = {} is odd"):
         ("test_construction.py", "test_build_recipe_guards_fire"),
+    ("construction", "_check_recipe", "recipe layout failed"):
+        ("test_construction.py", "test_check_recipe_layout_fires"),
     ("construction", "_check_recipe", "recipe verification failed"):
         ("test_construction.py", "test_verify_recipe_detects_tampering"),
     ("geometry", "invariants", "chi formula produced a non-integer"):
