@@ -125,9 +125,14 @@ def signed_int(text: str) -> int:
 
 
 def _warn(text: str) -> None:
-    """Write ``text`` to stderr, unless descriptor 2 was closed at start-up."""
+    """Write ``text`` to stderr, unless descriptor 2 was closed at start-up.
+    A failed write is dropped and the exit code stands; what it left
+    buffered goes to the null device, so the flush at exit cannot fail."""
     if sys.stderr is not None:
-        sys.stderr.write(text)
+        try:
+            sys.stderr.write(text)  # line-buffered: each line is written here
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 # ---------------------------------------------------------------------------
@@ -740,6 +745,14 @@ def build_parser():
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             self.exit(2, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write: a failed help write raises into
+            # main's exit-1 branch instead, and stderr goes through _warn.
+            if file is sys.stderr:
+                _warn(message)
+            else:
+                file.write(message)
 
     parser = _Parser(
         prog="bidouble",

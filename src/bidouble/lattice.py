@@ -336,7 +336,9 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
     # prefix.  The state (t, q, c) carries c for j >= i only.
     rank, gram = lat.rank, lat.gram
     gh = [sum(g * h for g, h in zip(row, lat.h)) for row in gram]
-    # A suffix starting at i reaches degrees of size at most reach[i].
+    # A suffix starting at i reaches degrees of size at most reach[i].  Each
+    # x is picked to leave a degree within the next suffix's reach, so only
+    # the root's degree is checked against reach[0].
     reach = [bound * sum(abs(v) for v in gh[i:]) for i in range(rank + 1)]
     # Where no suffix basis class pairs with a prefix one, c is identically
     # zero, so whether a suffix exists depends on (i, t, q) alone and dead
@@ -347,95 +349,75 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
         for i in range(rank + 1)
     ]
     # A decoupled suffix owes a self-intersection within [q_lo[i], q_hi[i]].
+    # At i = rank both are 0, as is reach[rank], so a state that gets past
+    # the last coordinate owes nothing: it is a hit.
     q_lo, q_hi = [], []
     for i in range(rank + 1):
         off = sum(abs(gram[j][k]) for j in range(i, rank) for k in range(i, rank) if j != k)
         q_lo.append(bound * bound * (sum(min(gram[j][j], 0) for j in range(i, rank)) - off))
         q_hi.append(bound * bound * (sum(max(gram[j][j], 0) for j in range(i, rank)) + off))
+    # The last two coordinates a, b: the degree gives x_b = (t - ga x_a) / gb;
+    # substituted and scaled by gb^2, the self-intersection is
+    # A x_a^2 + B x_a + C = 0 over Z.  A = 0 (or gb = 0) leaves them to the
+    # descent.
+    A = 0
+    if rank > 1 and gh[-1]:
+        ga, gb = gh[-2:]
+        gaa, gab, gbb = gram[-2][-2], gram[-2][-1], gram[-1][-1]
+        A = gaa * gb * gb - 2 * gab * ga * gb + gbb * ga * ga
     dead = set()  # (i, t, q) of decoupled states without a hit
     out = []
 
-    def children(i, t, q, c):
-        # Every x_i in the box that leaves a degree the next suffix can reach.
-        g, r = gh[i], reach[i + 1]
-        if g:
-            # |t - g x| <= r, solved for x
-            st, ag = (t, g) if g > 0 else (-t, -g)
-            lo, hi = max(-bound, -((r - st) // ag)), min(bound, (st + r) // ag)
-        elif abs(t) <= r:
-            lo, hi = -bound, bound
-        else:
-            return
-        gii, ci, rest = gram[i][i], c[0], c[1:]
-        if decoupled[i + 1]:
-            ql, qh = q_lo[i + 1], q_hi[i + 1]
-            for x in range(lo, hi + 1):
-                q2 = q - (gii * x + 2 * ci) * x
-                if ql <= q2 <= qh:
-                    yield x, t - g * x, q2, rest
-            return
-        column = [gram[j][i] for j in range(i + 1, rank)]
-        for x in range(lo, hi + 1):
-            yield x, t - g * x, q - (gii * x + 2 * ci) * x, tuple(
-                cj + gj * x for cj, gj in zip(rest, column)
-            )
-
-    def closed_form(i, t, q, c):
-        # Suffixes in lexicographic order when at most two coordinates remain,
-        # or None where the exhaustive descent has to take over.
-        if rank - i == 1:
-            g, gii, ci = gh[i], gram[i][i], c[0]
-            if g:
-                x, rem = divmod(t, g)
-                xs = [x] if not rem and -bound <= x <= bound else []
-            else:
-                xs = range(-bound, bound + 1) if t == 0 else []
-            return [(x,) for x in xs if (gii * x + 2 * ci) * x == q]
-        if rank - i != 2 or gh[i + 1] == 0:
-            return None
-        ga, gb = gh[i], gh[i + 1]
-        gaa, gab, gbb = gram[i][i], gram[i][i + 1], gram[i + 1][i + 1]
-        ca, cb = c
-        # The degree gives x_b = (t - ga x_a) / gb; substituted and scaled by
-        # gb^2, the self-intersection is A x_a^2 + B x_a + C = 0 over Z.
-        A = gaa * gb * gb - 2 * gab * ga * gb + gbb * ga * ga
-        if A == 0:
-            return None
-        B = 2 * (gab * gb * t - gbb * ga * t + ca * gb * gb - cb * ga * gb)
-        C = gbb * t * t + 2 * cb * gb * t - q * gb * gb
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            return []
-        root = isqrt(disc)
-        if root * root != disc:
-            return []
-        tails = []
-        for num in sorted({-B - root, -B + root}, reverse=A < 0):
-            xa, rem = divmod(num, 2 * A)
-            if rem or abs(xa) > bound:
-                continue
-            xb, rem = divmod(t - ga * xa, gb)
-            if not rem and abs(xb) <= bound:
-                tails.append((xa, xb))
-        return tails
-
     def collect(i, t, q, c, prefix):
         # Appends the hits below this state; returns whether there were any.
+        if i == rank:
+            out.append(DivisorClass(prefix))
+            return True
         if decoupled[i] and (i, t, q) in dead:
             return False
-        tails = closed_form(i, t, q, c)
-        if tails is not None:
-            out.extend(DivisorClass(prefix + tail) for tail in tails)
-            found = bool(tails)
+        found = False
+        if i == rank - 2 and A:
+            ca, cb = c
+            B = 2 * (gab * gb * t - gbb * ga * t + ca * gb * gb - cb * ga * gb)
+            C = gbb * t * t + 2 * cb * gb * t - q * gb * gb
+            disc = B * B - 4 * A * C
+            root = isqrt(max(disc, 0))
+            if root * root == disc:
+                for num in sorted({-B - root, -B + root}, reverse=A < 0):
+                    xa, rem = divmod(num, 2 * A)
+                    if rem or abs(xa) > bound:
+                        continue
+                    xb, rem = divmod(t - ga * xa, gb)
+                    if not rem and abs(xb) <= bound:
+                        out.append(DivisorClass(prefix + (xa, xb)))
+                        found = True
         else:
-            found = False
-            for x, *state in children(i, t, q, c):
-                found = collect(i + 1, *state, prefix + (x,)) or found
+            # Every x_i in the box that leaves a degree the next suffix can
+            # reach: |t - g x| <= r, solved for x.
+            g, r = gh[i], reach[i + 1]
+            lo, hi = -bound, bound
+            if g:
+                st, ag = (t, g) if g > 0 else (-t, -g)
+                lo, hi = max(lo, -((r - st) // ag)), min(hi, (st + r) // ag)
+            gii, ci, rest = gram[i][i], c[0], c[1:]
+            if decoupled[i + 1]:
+                ql, qh = q_lo[i + 1], q_hi[i + 1]
+                for x in range(lo, hi + 1):
+                    q2 = q - (gii * x + 2 * ci) * x
+                    if ql <= q2 <= qh:
+                        found = collect(i + 1, t - g * x, q2, rest, prefix + (x,)) or found
+            else:
+                column = [gram[j][i] for j in range(i + 1, rank)]
+                for x in range(lo, hi + 1):
+                    c2 = tuple(cj + gj * x for cj, gj in zip(rest, column))
+                    found = collect(i + 1, t - g * x, q - (gii * x + 2 * ci) * x, c2,
+                                    prefix + (x,)) or found
         if decoupled[i] and not found:
             dead.add((i, t, q))
         return found
 
-    collect(0, degree_target, selfint_target, (0,) * rank, ())
+    if abs(degree_target) <= reach[0]:
+        collect(0, degree_target, selfint_target, (0,) * rank, ())
     # collect reaches itself through its closure; emptying that cell frees
     # the closures without the cycle collector, which the CLI turns off.
     del collect

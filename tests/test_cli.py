@@ -772,8 +772,7 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    # Unbuffered, argparse drops its failed --help write and exits 0.
-    assert result.returncode == (0 if unbuffered and argv == ["--help"] else 1)
+    assert result.returncode == 1
     assert result.stderr == b""
 
 
@@ -808,16 +807,34 @@ def test_closed_descriptor_exits_1_without_traceback():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize(
     "argv",
-    [["classify", "2", "4", "6"], ["batch", "--max-degree", "30", "--format", "json"]],
-    ids=["classify", "batch"],
+    [["classify", "2", "4", "6"], ["batch", "--max-degree", "30", "--format", "json"],
+     ["--help"]],
+    ids=["classify", "batch", "help"],
 )
 def test_full_device_exits_1_without_traceback(argv):
-    # Every write to /dev/full fails with ENOSPC, inside the command or at
-    # the flush.  (argparse drops a failed --help write and exits 0.)
+    # Every write to /dev/full fails with ENOSPC, inside the command, in
+    # argparse's help or at the flush.
     with open("/dev/full", "wb") as full:
         result = cli_process(argv, stdout=full, stderr=subprocess.PIPE)
     assert result.returncode == 1
     assert result.stderr == b"error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "1", "2", "3"], ["batch", "--max-degree", "200"]],
+    ids=["classify", "batch"],
+)
+def test_full_stderr_keeps_the_exit_code(argv, unbuffered, monkeypatch):
+    # The refusal line cannot be written; it is dropped, and the run still
+    # exits 2, not 1 with a traceback that cannot be written either.
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "wb") as full:
+        result = cli_process(argv, stdout=subprocess.PIPE, stderr=full)
+    assert result.returncode == 2
+    assert result.stdout == b""
 
 
 class _Exited(Exception):

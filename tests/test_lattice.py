@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -466,6 +467,66 @@ def test_search_matches_full_scan_on_random_lattices():
         self_int = pair(lat, d, d) + rng.choice((0, 0, 1, -2))
         assert_matches_full_scan(lat, bound, pair(lat, d, lat.h), self_int)
         checked += 1
+
+
+# The seven queries of the benchmark's seed-1 lattice workload: preset, degree,
+# self-intersection, bound, then the hit count and the SHA-256 of the repr of
+# the ordered coordinate tuples.  The boxes hold 10^7 to 5*10^7 cells, beyond
+# any full scan here, so their hits are pinned: a change to the enumerator
+# must return them, order included.
+WORKLOAD_BOXES = [
+    ("delpezzo1", 2, -64, 3, 280,
+     "83fe3c5d3d13e71fc066a7d128ccb2977714eaa73e2dbc7bf2ad9517c14b14ae"),
+    ("delpezzo2", 3, -91, 4, 735,
+     "13f4b4d5eeca65a4283981e770f5a280ba583989454467e0ddc865749a06514c"),
+    ("delpezzo3", 6, -106, 5, 780,
+     "89674f8a681bdc14fed1108567f10ac2bf15e079142c4db539aa1b869a1766bb"),
+    ("delpezzo4", 3, -217, 8, 855,
+     "4f88a25faa8bc2345c81dc8419ca3d9e95aab00c754d496aec804b8f7e347fa8"),
+    ("delpezzo5", 5, -393, 13, 252,
+     "270adbad10b6da7a5b0ba7c23b990149defe2616ee345092fc114902dd161d55"),
+    ("k3_024", 20, -3300, 30, 146,
+     "660fde53494f26263f0f6f8776695b42d9b320e941fe11537ac4e0498cc49115"),
+    ("p1xp1", 361, -18480, 2000, 2,
+     "d62d14db892cb5f3f5ed45223558910918b23caac0e334cd9a3c280db71ea2df"),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, deg, self_int, bound, count, digest", WORKLOAD_BOXES,
+    ids=[box[0] for box in WORKLOAD_BOXES],
+)
+def test_search_pins_the_workload_boxes(preset, deg, self_int, bound, count, digest):
+    hits = brute_force_search(preset_lattice(preset), bound, deg, self_int)
+    assert len(hits) == count
+    assert hashlib.sha256(repr([tuple(d) for d in hits]).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("box", WORKLOAD_BOXES[:3], ids=lambda box: box[0])
+def test_search_is_closed_under_simple_reflections(box):
+    # The simple roots e_i - e_{i+1} and L - e1 - e2 - e3 have alpha^2 = -2
+    # and alpha.K = 0, so s(D) = D + (D.alpha) alpha fixes H = -K and keeps
+    # D.H and D^2: every image of a hit that stays in the box is a hit too
+    # (Manin, "Cubic Forms", ch. IV).  The boxes and targets are the
+    # workload's, on delpezzo1, delpezzo2 and delpezzo3.
+    preset, deg, self_int, bound, _, _ = box
+    lat = preset_lattice(preset)
+    points = lat.rank - 1
+    roots = [DivisorClass.basis(lat.rank, i) - DivisorClass.basis(lat.rank, i + 1)
+             for i in range(1, points)]
+    roots.append(DivisorClass((1, -1, -1, -1) + (0,) * (points - 3)))
+    for alpha in roots:
+        assert pair(lat, alpha, alpha) == -2 and pair(lat, alpha, lat.k) == 0
+    hits = brute_force_search(lat, bound, deg, self_int)
+    found = set(hits)
+    moved = 0
+    for d in hits:
+        for alpha in roots:
+            image = d + pair(lat, d, alpha) * alpha
+            if image != d and max(map(abs, image)) <= bound:
+                assert image in found, (d, alpha, image)
+                moved += 1
+    assert moved > 500
 
 
 def test_search_box_semantics():
