@@ -178,10 +178,9 @@ def invariants(triple) -> SurfaceInvariants:
     return tuple.__new__(SurfaceInvariants, (k_squared, chi, 4, 2 * shift, 0, n, m, big_m))
 
 
-class IntermediatePicard(namedtuple("IntermediatePicard", "a b rho rho_resolution cite")):
+class IntermediatePicard(namedtuple("IntermediatePicard", "a b rho cite")):
     """Picard data of one intermediate double plane Y branched in degrees
-    (a, b), a <= b, with both parities equal and a + b > 0; ``rho_resolution``
-    is None where no separate resolution value applies."""
+    (a, b), a <= b, with both parities equal and a + b > 0."""
 
     __slots__ = ()
 
@@ -208,9 +207,7 @@ def intermediate_picard(a: int, b: int) -> IntermediatePicard:
     if a + b == 0:
         raise DomainError("intermediate branch curve cannot be empty")
 
-    if a + b >= 6:
-        return IntermediatePicard(a, b, _rho(a, b), 1 + a * b, LEM_RESOLUTION)
-    return IntermediatePicard(a, b, _rho(a, b), 8 if a + b == 4 else None, PROP_PAIRS)
+    return IntermediatePicard(a, b, _rho(a, b), LEM_RESOLUTION if a + b >= 6 else PROP_PAIRS)
 
 
 def _rho(a: int, b: int) -> int:

@@ -326,24 +326,69 @@ def _check_bound(bound) -> None:
         raise DomainError(f"search bound must be >= 0, got {number_text(bound)}")
 
 
+def _swap_runs(gram, gh):
+    """The maximal runs [s, e) of two or more adjacent coordinates in which
+    each neighbouring pair can be swapped without changing the Gram matrix
+    or G.h.  Such swaps generate every permutation of a run, and each keeps
+    D.H and D^2, so the hits of a box are closed under them: e1..e_{9-d} on
+    ``delpezzo_d``, (Gamma1, Gamma2) and (E1', E2') on ``k3_024``, (f1, f2) on
+    ``p1xp1``.  Rows i - 1 and i must agree off their own two columns and
+    trade places on them, one O(rank) comparison per pair."""
+    rank, runs, start = len(gram), [], 0
+    for i in range(1, rank + 1):
+        if i < rank:
+            a, b = gram[i - 1], gram[i]
+            if (gh[i - 1] == gh[i] and a[i - 1] == b[i] and a[:i - 1] == b[:i - 1]
+                    and a[i + 1:] == b[i + 1:]):
+                continue
+        if i - start > 1:
+            runs.append((start, i))
+        start = i
+    return runs
+
+
+def _orderings(values):
+    """Each distinct ordering of ``values`` once, in lexicographic order:
+    len(values)! / (m_1! m_2! ...) tuples for value multiplicities m_k."""
+    # One level per position: each partial ordering is extended by each
+    # distinct value it has left, smallest first, which keeps every level
+    # sorted.
+    level = [((), tuple(sorted(values)))]
+    for _ in range(len(values)):
+        level = [(head + (v,), left[:k] + left[k + 1:])
+                 for head, left in level
+                 for k, v in enumerate(left) if not k or v != left[k - 1]]
+    return [head for head, _ in level]
+
+
 def _search_pruned(lat, bound, degree_target, selfint_target):
-    # Depth-first over the coordinates in basis order, smallest value first,
-    # so hits come out in lexicographic order.  With x_0..x_{i-1} fixed, the
-    # suffix x_i..x_{r-1} owes the degree t and the self-intersection q:
+    # Depth-first over the coordinates in basis order.  With x_0..x_{i-1}
+    # fixed, the suffix x_i..x_{r-1} owes the degree t and the
+    # self-intersection q:
     #   sum_{j>=i} gh_j x_j = t,
     #   sum_{j,k>=i} G_jk x_j x_k + 2 sum_{j>=i} c_j x_j = q,
     # where gh = G.h and c_j = sum_{k<i} G_jk x_k pairs the suffix with the
     # prefix.  The state (t, q, c) carries c for j >= i only.
     rank, gram = lat.rank, lat.gram
     gh = [sum(g * h for g, h in zip(row, lat.h)) for row in gram]
+    # The hits are closed under permuting each run of swappable coordinates,
+    # so the search keeps one representative per orbit, non-increasing along
+    # each run: a coordinate tied to the one before it is capped by it.
+    runs = _swap_runs(gram, gh)
+    tied = [False] * (rank + 1)
+    for s, e in runs:
+        tied[s + 1:e] = [True] * (e - s - 1)
+    # From ``tail`` on, the suffix is one run, so x_i is its largest value and
+    # at least its mean, t / (gh_i (rank - i)).
+    tail = runs[-1][0] if runs and runs[-1][1] == rank else rank
     # A suffix starting at i reaches degrees of size at most reach[i].  Each
     # x is picked to leave a degree within the next suffix's reach, so only
     # the root's degree is checked against reach[0].
     reach = [bound * sum(abs(v) for v in gh[i:]) for i in range(rank + 1)]
     # Where no suffix basis class pairs with a prefix one, c is identically
-    # zero, so whether a suffix exists depends on (i, t, q) alone and dead
-    # states are cached; on the diagonal del Pezzo lattices that is every
-    # depth.
+    # zero, so whether a suffix exists depends on (i, t, q) and the cap on
+    # x_i alone and dead states are cached; on the diagonal del Pezzo
+    # lattices that is every depth.
     decoupled = [
         all(gram[j][k] == 0 for j in range(i, rank) for k in range(i))
         for i in range(rank + 1)
@@ -365,15 +410,18 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
         ga, gb = gh[-2:]
         gaa, gab, gbb = gram[-2][-2], gram[-2][-1], gram[-1][-1]
         A = gaa * gb * gb - 2 * gab * ga * gb + gbb * ga * ga
-    dead = set()  # (i, t, q) of decoupled states without a hit
-    out = []
+        b_tied = tied[rank - 1]
+    dead = set()  # (i, t, q, cap) of decoupled states without a hit
+    reps = []
 
     def collect(i, t, q, c, prefix):
-        # Appends the hits below this state; returns whether there were any.
+        # Appends the representatives below this state; returns whether there
+        # were any.
         if i == rank:
-            out.append(DivisorClass(prefix))
+            reps.append(prefix)
             return True
-        if decoupled[i] and (i, t, q) in dead:
+        cap = prefix[-1] if tied[i] else bound
+        if decoupled[i] and (i, t, q, cap) in dead:
             return False
         found = False
         if i == rank - 2 and A:
@@ -383,22 +431,24 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
             disc = B * B - 4 * A * C
             root = isqrt(max(disc, 0))
             if root * root == disc:
-                for num in sorted({-B - root, -B + root}, reverse=A < 0):
+                for num in {-B - root, -B + root}:
                     xa, rem = divmod(num, 2 * A)
-                    if rem or abs(xa) > bound:
+                    if rem or not -bound <= xa <= cap:
                         continue
                     xb, rem = divmod(t - ga * xa, gb)
-                    if not rem and abs(xb) <= bound:
-                        out.append(DivisorClass(prefix + (xa, xb)))
+                    if not rem and -bound <= xb <= (xa if b_tied else bound):
+                        reps.append(prefix + (xa, xb))
                         found = True
         else:
-            # Every x_i in the box that leaves a degree the next suffix can
-            # reach: |t - g x| <= r, solved for x.
+            # Every x_i up to the cap that leaves a degree the next suffix
+            # can reach: |t - g x| <= r, solved for x.
             g, r = gh[i], reach[i + 1]
-            lo, hi = -bound, bound
+            lo, hi = -bound, cap
             if g:
                 st, ag = (t, g) if g > 0 else (-t, -g)
                 lo, hi = max(lo, -((r - st) // ag)), min(hi, (st + r) // ag)
+                if i >= tail:
+                    lo = max(lo, -(-t // (g * (rank - i))))
             gii, ci, rest = gram[i][i], c[0], c[1:]
             if decoupled[i + 1]:
                 ql, qh = q_lo[i + 1], q_hi[i + 1]
@@ -413,7 +463,7 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
                     found = collect(i + 1, t - g * x, q - (gii * x + 2 * ci) * x, c2,
                                     prefix + (x,)) or found
         if decoupled[i] and not found:
-            dead.add((i, t, q))
+            dead.add((i, t, q, cap))
         return found
 
     if abs(degree_target) <= reach[0]:
@@ -421,7 +471,18 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
     # collect reaches itself through its closure; emptying that cell frees
     # the closures without the cycle collector, which the CLI turns off.
     del collect
-    return out
+    # Each representative stands for the distinct orderings of its runs; one
+    # sort of them all is the lexicographic order of a scan of every cell.
+    hits = []
+    for rep in reps:
+        expanded = [rep]
+        for s, e in runs:
+            expanded = [d[:s] + run + d[e:] for run in _orderings(rep[s:e]) for d in expanded]
+        hits += expanded
+    hits.sort()
+    # The coordinates are ints by construction, so the validating
+    # constructor is skipped.
+    return [tuple.__new__(DivisorClass, d) for d in hits]
 
 
 def brute_force_search(
@@ -435,12 +496,19 @@ def brute_force_search(
 
     The search is exact on Python integers and returns what a scan of every
     cell would, order included, but its work follows the hits rather than
-    the box.  It skips values that leave a degree the remaining coordinates
-    cannot reach, and solves the last two coordinates from the degree
-    equation and an integer quadratic.  Where the Gram matrix decouples the
-    remaining coordinates from the fixed ones, it also skips values that
-    leave an unreachable self-intersection and caches which (degree,
-    self-intersection) remainders have no completion.
+    the box.  Swapping two adjacent coordinates whose rows of the Gram
+    matrix and entries of G.h agree maps hits to hits, so within each run of
+    such coordinates (the points e_i of a del Pezzo, say) the search keeps
+    only the representative whose values do not increase.  It skips values
+    that leave a degree the remaining coordinates cannot reach, and solves
+    the last two coordinates from the degree equation and an integer
+    quadratic.  Where the Gram matrix decouples the remaining coordinates
+    from the fixed ones, it also skips values that leave an unreachable
+    self-intersection and caches which (degree, self-intersection, cap)
+    remainders have no completion.  Each representative is then expanded
+    into every distinct ordering of each run, and one sort of them all
+    gives the hits in lexicographic order: the same hits, in the same
+    order, as without the symmetry.
     Boxes over 10^8 cells are refused: shrink the bound instead of waiting.
     """
     _check_bound(bound)

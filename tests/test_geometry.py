@@ -152,17 +152,6 @@ def test_intermediate_picard_table():
     assert intermediate_picard(3, 1) == intermediate_picard(1, 3)
 
 
-def test_intermediate_picard_resolution_counts():
-    assert intermediate_picard(2, 4).rho_resolution == 9  # 1 + ab
-    assert intermediate_picard(3, 3).rho_resolution == 10
-    assert intermediate_picard(0, 6).rho_resolution == 1
-    assert intermediate_picard(0, 4).rho_resolution == 8
-    assert intermediate_picard(1, 3).rho_resolution == 8
-    assert intermediate_picard(2, 2).rho_resolution == 8
-    assert intermediate_picard(1, 1).rho_resolution is None
-    assert intermediate_picard(0, 2).rho_resolution is None
-
-
 def test_intermediate_picard_rejections():
     with pytest.raises(DomainError):
         intermediate_picard(0, 0)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from bidouble.geometry import BranchTriple
 from bidouble.lattice import (
     DivisorClass,
     IntersectionLattice,
+    _orderings,
+    _swap_runs,
     arithmetic_genus,
     brute_force_search,
     delpezzo_lattice,
@@ -502,13 +505,16 @@ def test_search_pins_the_workload_boxes(preset, deg, self_int, bound, count, dig
     assert hashlib.sha256(repr([tuple(d) for d in hits]).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("box", WORKLOAD_BOXES[:3], ids=lambda box: box[0])
+@pytest.mark.parametrize("box", WORKLOAD_BOXES[:5], ids=lambda box: box[0])
 def test_search_is_closed_under_simple_reflections(box):
     # The simple roots e_i - e_{i+1} and L - e1 - e2 - e3 have alpha^2 = -2
     # and alpha.K = 0, so s(D) = D + (D.alpha) alpha fixes H = -K and keeps
     # D.H and D^2: every image of a hit that stays in the box is a hit too
     # (Manin, "Cubic Forms", ch. IV).  The boxes and targets are the
-    # workload's, on delpezzo1, delpezzo2 and delpezzo3.
+    # workload's, on delpezzo1 to delpezzo5.  The search itself uses only the
+    # swaps e_i <-> e_{i+1}; on delpezzo4 and delpezzo5 the reflection in
+    # L - e1 - e2 - e3 also keeps some hits in the box, and so checks the
+    # expanded orbits from outside them.
     preset, deg, self_int, bound, _, _ = box
     lat = preset_lattice(preset)
     points = lat.rank - 1
@@ -527,6 +533,84 @@ def test_search_is_closed_under_simple_reflections(box):
                 assert image in found, (d, alpha, image)
                 moved += 1
     assert moved > 500
+
+
+def gram_dot_h(lat):
+    return [sum(g * h for g, h in zip(row, lat.h)) for row in lat.gram]
+
+
+def test_swap_runs_of_every_preset():
+    # The runs of adjacent coordinates whose swaps fix the Gram matrix and
+    # G.h: the points e_i of a del Pezzo, the two Gamma and the two E' of
+    # k3_024, the two rulings of p1xp1; a lone e1 or a rank-one lattice has
+    # none.
+    expected = {f"delpezzo{d}": [(1, 10 - d)] for d in range(1, 8)}
+    expected |= {"delpezzo8": [], "delpezzo9": [], "p1xp1": [(0, 2)],
+                 "k3_024": [(0, 2), (2, 4)]}
+    for name, runs in expected.items():
+        lat = preset_lattice(name)
+        assert _swap_runs(lat.gram, gram_dot_h(lat)) == runs, name
+    for triple in ((2, 2, 2), (2, 4, 6)):
+        lat = rank1_bidouble_lattice(triple)
+        assert _swap_runs(lat.gram, gram_dot_h(lat)) == []
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (5,), (2, 2), (3, -1), (0, 1, 0), (2, 1, 1, 0, 0, 0), (3, 2, 1, 0),
+     (1, 1, 0, 0, 0, -1, -1, -1)],
+    ids=str,
+)
+def test_orderings_once_each_in_lexicographic_order(values):
+    orderings = _orderings(values)
+    assert orderings == sorted(set(itertools.permutations(values)))
+    multinomial = math.factorial(len(values))
+    for v in set(values):
+        multinomial //= math.factorial(values.count(v))
+    assert len(orderings) == multinomial
+
+
+@pytest.mark.parametrize(
+    "gram, h, runs",
+    [
+        # G.h = (2, 2, 2, 1): a decoupled run of positive degree at the front.
+        pytest.param([[-2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                     (-1, -1, 2, 1), [(0, 2)], id="front_decoupled_positive"),
+        # G.h = (5, -2, -2, 4): a run of negative degree in the middle,
+        # coupled to the coordinates on both sides.
+        pytest.param([[1, 1, 1, 0], [1, -2, 1, 2], [1, 1, -2, 2], [0, 2, 2, 0]],
+                     (3, 1, 1, -2), [(1, 3)], id="middle_coupled_negative"),
+        # G.h = (4, 1, 0, 0): a coupled run of degree zero at the tail, which
+        # leaves the last two coordinates to the descent.
+        pytest.param([[2, 1, 1, 1], [1, 0, 0, 0], [1, 0, -2, 1], [1, 0, 1, -2]],
+                     (1, 0, 1, 1), [(2, 4)], id="tail_coupled_zero"),
+        # G.h = (4, 1, 1, 1): a decoupled tail run, as on a del Pezzo, with the
+        # mean bound and the quadratic for the last two coordinates.
+        pytest.param([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+                     (2, -1, -1, -1), [(1, 4)], id="tail_decoupled_positive"),
+        # G.h = (2, 0, 0, 1) and (2, 0, 0, 0): decoupled runs of degree zero,
+        # where no mean bound applies and a dead state is dead only under
+        # its cap.
+        pytest.param([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
+                     (1, 0, 0, 1), [(1, 3)], id="middle_decoupled_zero"),
+        pytest.param([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+                     (2, 0, 0, 0), [(1, 4)], id="tail_decoupled_zero"),
+        # G.h = (3, -1, -1): the mean bound at a negative degree entry.
+        pytest.param([[3, 0, 0], [0, 1, 0], [0, 0, 1]], (1, -1, -1), [(1, 3)],
+                     id="tail_decoupled_negative"),
+        # G.h = (2, 2, 2): every coordinate in one coupled run.
+        pytest.param([[0, 1, 1], [1, 0, 1], [1, 1, 0]], (1, 1, 1), [(0, 3)],
+                     id="whole_coupled_positive"),
+    ],
+)
+def test_search_matches_full_scan_with_planted_runs(gram, h, runs):
+    # The search keeps one representative per orbit of the swaps of each
+    # run and expands it back; every target of each box, bound 0 included,
+    # must still give the scan's classes in the scan's order.
+    lat = hand_built(gram, h)
+    assert _swap_runs(lat.gram, gram_dot_h(lat)) == runs
+    for bound in (0, 1, 2):
+        assert_every_target(lat, bound)
 
 
 def test_search_box_semantics():
