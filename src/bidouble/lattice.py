@@ -381,26 +381,27 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
     # From ``tail`` on, the suffix is one run, so x_i is its largest value and
     # at least its mean, t / (gh_i (rank - i)).
     tail = runs[-1][0] if runs and runs[-1][1] == rank else rank
-    # A suffix starting at i reaches degrees of size at most reach[i].  Each
-    # x is picked to leave a degree within the next suffix's reach, so only
-    # the root's degree is checked against reach[0].
-    reach = [bound * sum(abs(v) for v in gh[i:]) for i in range(rank + 1)]
-    # Where no suffix basis class pairs with a prefix one, c is identically
-    # zero, so whether a suffix exists depends on (i, t, q) and the cap on
-    # x_i alone and dead states are cached; on the diagonal del Pezzo
-    # lattices that is every depth.
-    decoupled = [
-        all(gram[j][k] == 0 for j in range(i, rank) for k in range(i))
-        for i in range(rank + 1)
-    ]
-    # A decoupled suffix owes a self-intersection within [q_lo[i], q_hi[i]].
-    # At i = rank both are 0, as is reach[rank], so a state that gets past
-    # the last coordinate owes nothing: it is a hit.
-    q_lo, q_hi = [], []
-    for i in range(rank + 1):
-        off = sum(abs(gram[j][k]) for j in range(i, rank) for k in range(i, rank) if j != k)
-        q_lo.append(bound * bound * (sum(min(gram[j][j], 0) for j in range(i, rank)) - off))
-        q_hi.append(bound * bound * (sum(max(gram[j][j], 0) for j in range(i, rank)) + off))
+    # A suffix starting at i reaches degrees of size at most reach[i] and owes
+    # a self-intersection within [q_lo[i], q_hi[i]]: with every |x| <= bound,
+    # G_jj x_j^2 lies in bound^2 [min(G_jj, 0), max(G_jj, 0)], and the
+    # off-diagonal terms of the suffix and the pairing 2 c.x with the prefix
+    # together move it by at most 2 bound^2 |G_jk| per entry k < j of a suffix
+    # row j.  One backward pass sets all three.  Each x is picked to leave a
+    # degree within the next suffix's reach and a self-intersection within
+    # its window, so only the root's degree is checked against reach[0], and
+    # at i = rank, where all three are 0, a state owes nothing: it is a hit.
+    reach, q_lo, q_hi = [0] * (rank + 1), [0] * (rank + 1), [0] * (rank + 1)
+    square = bound * bound
+    for i in range(rank - 1, -1, -1):
+        row = gram[i]
+        slack = 2 * square * sum(abs(v) for v in row[:i])
+        reach[i] = reach[i + 1] + bound * abs(gh[i])
+        q_lo[i] = q_lo[i + 1] + square * min(row[i], 0) - slack
+        q_hi[i] = q_hi[i + 1] + square * max(row[i], 0) + slack
+    # The entries of column i below the diagonal, which update c once x_i is
+    # fixed; None where there are none to add.
+    columns = [tuple(row[i] for row in gram[i + 1:]) for i in range(rank)]
+    columns = [column if any(column) else None for column in columns]
     # The last two coordinates a, b: the degree gives x_b = (t - ga x_a) / gb;
     # substituted and scaled by gb^2, the self-intersection is
     # A x_a^2 + B x_a + C = 0 over Z.  A = 0 (or gb = 0) leaves them to the
@@ -411,19 +412,14 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
         gaa, gab, gbb = gram[-2][-2], gram[-2][-1], gram[-1][-1]
         A = gaa * gb * gb - 2 * gab * ga * gb + gbb * ga * ga
         b_tied = tied[rank - 1]
-    dead = set()  # (i, t, q, cap) of decoupled states without a hit
     reps = []
 
     def collect(i, t, q, c, prefix):
-        # Appends the representatives below this state; returns whether there
-        # were any.
+        # Appends the representatives below this state.
         if i == rank:
             reps.append(prefix)
-            return True
+            return
         cap = prefix[-1] if tied[i] else bound
-        if decoupled[i] and (i, t, q, cap) in dead:
-            return False
-        found = False
         if i == rank - 2 and A:
             ca, cb = c
             B = 2 * (gab * gb * t - gbb * ga * t + ca * gb * gb - cb * ga * gb)
@@ -438,33 +434,23 @@ def _search_pruned(lat, bound, degree_target, selfint_target):
                     xb, rem = divmod(t - ga * xa, gb)
                     if not rem and -bound <= xb <= (xa if b_tied else bound):
                         reps.append(prefix + (xa, xb))
-                        found = True
-        else:
-            # Every x_i up to the cap that leaves a degree the next suffix
-            # can reach: |t - g x| <= r, solved for x.
-            g, r = gh[i], reach[i + 1]
-            lo, hi = -bound, cap
-            if g:
-                st, ag = (t, g) if g > 0 else (-t, -g)
-                lo, hi = max(lo, -((r - st) // ag)), min(hi, (st + r) // ag)
-                if i >= tail:
-                    lo = max(lo, -(-t // (g * (rank - i))))
-            gii, ci, rest = gram[i][i], c[0], c[1:]
-            if decoupled[i + 1]:
-                ql, qh = q_lo[i + 1], q_hi[i + 1]
-                for x in range(lo, hi + 1):
-                    q2 = q - (gii * x + 2 * ci) * x
-                    if ql <= q2 <= qh:
-                        found = collect(i + 1, t - g * x, q2, rest, prefix + (x,)) or found
-            else:
-                column = [gram[j][i] for j in range(i + 1, rank)]
-                for x in range(lo, hi + 1):
-                    c2 = tuple(cj + gj * x for cj, gj in zip(rest, column))
-                    found = collect(i + 1, t - g * x, q - (gii * x + 2 * ci) * x, c2,
-                                    prefix + (x,)) or found
-        if decoupled[i] and not found:
-            dead.add((i, t, q, cap))
-        return found
+            return
+        # Every x_i up to the cap that leaves a degree the next suffix can
+        # reach: |t - g x| <= r, solved for x.
+        g, r = gh[i], reach[i + 1]
+        lo, hi = -bound, cap
+        if g:
+            st, ag = (t, g) if g > 0 else (-t, -g)
+            lo, hi = max(lo, -((r - st) // ag)), min(hi, (st + r) // ag)
+            if i >= tail:
+                lo = max(lo, -(-t // (g * (rank - i))))
+        gii, ci, rest, column = gram[i][i], c[0], c[1:], columns[i]
+        ql, qh = q_lo[i + 1], q_hi[i + 1]
+        for x in range(lo, hi + 1):
+            q2 = q - (gii * x + 2 * ci) * x
+            if ql <= q2 <= qh:
+                c2 = tuple(cj + gj * x for cj, gj in zip(rest, column)) if column else rest
+                collect(i + 1, t - g * x, q2, c2, prefix + (x,))
 
     if abs(degree_target) <= reach[0]:
         collect(0, degree_target, selfint_target, (0,) * rank, ())
@@ -500,15 +486,13 @@ def brute_force_search(
     matrix and entries of G.h agree maps hits to hits, so within each run of
     such coordinates (the points e_i of a del Pezzo, say) the search keeps
     only the representative whose values do not increase.  It skips values
-    that leave a degree the remaining coordinates cannot reach, and solves
-    the last two coordinates from the degree equation and an integer
-    quadratic.  Where the Gram matrix decouples the remaining coordinates
-    from the fixed ones, it also skips values that leave an unreachable
-    self-intersection and caches which (degree, self-intersection, cap)
-    remainders have no completion.  Each representative is then expanded
-    into every distinct ordering of each run, and one sort of them all
-    gives the hits in lexicographic order: the same hits, in the same
-    order, as without the symmetry.
+    that leave a degree or a self-intersection the remaining coordinates
+    cannot reach, counting their pairing with the fixed coordinates into
+    the self-intersection's window, and solves the last two coordinates
+    from the degree equation and an integer quadratic.  Each representative
+    is then expanded into every distinct ordering of each run, and one sort
+    of them all gives the hits in lexicographic order: the same hits, in
+    the same order, as without the symmetry.
     Boxes over 10^8 cells are refused: shrink the bound instead of waiting.
     """
     _check_bound(bound)

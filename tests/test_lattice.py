@@ -452,11 +452,13 @@ def test_search_every_target_of_small_boxes():
 
 def test_search_matches_full_scan_on_random_lattices():
     # Random symmetric Gram matrices reach every branch: either sign of the
-    # square term, zero degree entries, coupled and decoupled blocks.
+    # square term, zero degree entries, coupled and decoupled blocks, and
+    # targets off a class's own self-intersection, which the window of a
+    # coupled suffix must reject no more of than the scan does.
     rng = random.Random(7)
     checked = 0
     while checked < 150:
-        rank = rng.randint(1, 4)
+        rank = rng.randint(1, 5)
         gram = [[0] * rank for _ in range(rank)]
         for i in range(rank):
             for j in range(i, rank):
@@ -467,7 +469,7 @@ def test_search_matches_full_scan_on_random_lattices():
         lat = hand_built(gram, h)
         bound = 3 if rank < 4 else 2
         d = DivisorClass([rng.randint(-bound, bound) for _ in range(rank)])
-        self_int = pair(lat, d, d) + rng.choice((0, 0, 1, -2))
+        self_int = pair(lat, d, d) + rng.choice((0, 0, 1, -1, -2, -4))
         assert_matches_full_scan(lat, bound, pair(lat, d, lat.h), self_int)
         checked += 1
 
@@ -505,34 +507,73 @@ def test_search_pins_the_workload_boxes(preset, deg, self_int, bound, count, dig
     assert hashlib.sha256(repr([tuple(d) for d in hits]).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("box", WORKLOAD_BOXES[:5], ids=lambda box: box[0])
-def test_search_is_closed_under_simple_reflections(box):
-    # The simple roots e_i - e_{i+1} and L - e1 - e2 - e3 have alpha^2 = -2
-    # and alpha.K = 0, so s(D) = D + (D.alpha) alpha fixes H = -K and keeps
-    # D.H and D^2: every image of a hit that stays in the box is a hit too
-    # (Manin, "Cubic Forms", ch. IV).  The boxes and targets are the
-    # workload's, on delpezzo1 to delpezzo5.  The search itself uses only the
-    # swaps e_i <-> e_{i+1}; on delpezzo4 and delpezzo5 the reflection in
-    # L - e1 - e2 - e3 also keeps some hits in the box, and so checks the
-    # expanded orbits from outside them.
-    preset, deg, self_int, bound, _, _ = box
-    lat = preset_lattice(preset)
+def simple_roots(lat):
+    # The simple roots e_i - e_{i+1} and, from three points on,
+    # L - e1 - e2 - e3 of a del Pezzo lattice: each has alpha^2 = -2 and
+    # alpha.K = 0, so s(D) = D + (D.alpha) alpha fixes H = -K and keeps D.H
+    # and D^2 (Manin, "Cubic Forms", ch. IV).
     points = lat.rank - 1
     roots = [DivisorClass.basis(lat.rank, i) - DivisorClass.basis(lat.rank, i + 1)
              for i in range(1, points)]
-    roots.append(DivisorClass((1, -1, -1, -1) + (0,) * (points - 3)))
+    if points >= 3:
+        roots.append(DivisorClass((1, -1, -1, -1) + (0,) * (points - 3)))
     for alpha in roots:
         assert pair(lat, alpha, alpha) == -2 and pair(lat, alpha, lat.k) == 0
+    return roots
+
+
+def reflect(lat, d, alpha):
+    return d + pair(lat, d, alpha) * alpha
+
+
+@pytest.mark.parametrize("box", WORKLOAD_BOXES[:5], ids=lambda box: box[0])
+def test_search_is_closed_under_simple_reflections(box):
+    # Every image of a hit under a simple reflection that stays in the box
+    # is a hit too.  The boxes and targets are the workload's, on delpezzo1
+    # to delpezzo5.  The search itself uses only the swaps e_i <-> e_{i+1};
+    # on delpezzo4 and delpezzo5 the reflection in L - e1 - e2 - e3 also
+    # keeps some hits in the box, and so checks the expanded orbits from
+    # outside them.
+    preset, deg, self_int, bound, _, _ = box
+    lat = preset_lattice(preset)
+    roots = simple_roots(lat)
     hits = brute_force_search(lat, bound, deg, self_int)
     found = set(hits)
     moved = 0
     for d in hits:
         for alpha in roots:
-            image = d + pair(lat, d, alpha) * alpha
+            image = reflect(lat, d, alpha)
             if image != d and max(map(abs, image)) <= bound:
                 assert image in found, (d, alpha, image)
                 moved += 1
     assert moved > 500
+
+
+# The lines (D.H = 1, D^2 = -1) of the del Pezzo surfaces of degree 7 to 2:
+# 3, 6, 10, 16, 27 and 56 (Manin, "Cubic Forms", ch. IV), the least box that
+# holds them all (delpezzo4 at bound 1 holds only 15, delpezzo2 at bound 2
+# only 49), and how many of them the reflection in L - e1 - e2 - e3 moves
+# (delpezzo7 has no such root).
+LINE_BOXES = [("delpezzo7", 1, 3, None), ("delpezzo6", 1, 6, 6), ("delpezzo5", 1, 10, 6),
+              ("delpezzo4", 2, 16, 8), ("delpezzo3", 2, 27, 12), ("delpezzo2", 3, 56, 24)]
+
+
+@pytest.mark.parametrize("preset, bound, count, moved", LINE_BOXES,
+                         ids=[box[0] for box in LINE_BOXES])
+def test_search_finds_every_line_and_each_reflection_permutes_them(preset, bound, count, moved):
+    # The box holds every line, so each simple reflection maps the hits onto
+    # themselves, with no image leaving the box.  The reflection in
+    # L - e1 - e2 - e3 moves lines the swaps e_i <-> e_{i+1} do not reach,
+    # so it checks the search from outside the symmetry it uses itself.
+    lat = preset_lattice(preset)
+    hits = brute_force_search(lat, bound, 1, -1)
+    assert len(hits) == count
+    assert all(arithmetic_genus(lat, d) == 0 for d in hits)
+    roots = simple_roots(lat)
+    for alpha in roots:
+        assert sorted(reflect(lat, d, alpha) for d in hits) == hits, alpha
+    if lat.rank > 3:  # roots[-1] is L - e1 - e2 - e3
+        assert sum(reflect(lat, d, roots[-1]) != d for d in hits) == moved
 
 
 def gram_dot_h(lat):
@@ -589,8 +630,8 @@ def test_orderings_once_each_in_lexicographic_order(values):
         pytest.param([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
                      (2, -1, -1, -1), [(1, 4)], id="tail_decoupled_positive"),
         # G.h = (2, 0, 0, 1) and (2, 0, 0, 0): decoupled runs of degree zero,
-        # where no mean bound applies and a dead state is dead only under
-        # its cap.
+        # where no mean bound applies and only the run's cap and the
+        # self-intersection window bound each coordinate.
         pytest.param([[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]],
                      (1, 0, 0, 1), [(1, 3)], id="middle_decoupled_zero"),
         pytest.param([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],

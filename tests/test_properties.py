@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import itertools
 import pathlib
 import re
 import tempfile
@@ -19,7 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 import bidouble.cli as cli  # noqa: E402
 from bidouble.classify import classify_triple  # noqa: E402
 from bidouble.errors import DomainError  # noqa: E402
-from bidouble.geometry import BranchTriple, validate_triple  # noqa: E402
+from bidouble.geometry import BranchTriple, _euler_number, invariants, validate_triple  # noqa: E402
+from bidouble.numerics import _check_q1  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -466,3 +468,46 @@ json_values = st.recursive(
 def test_dumps_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
     assert cli._dumps(value, "\n    ") == json.dumps(value, indent=2).replace("\n", "\n    ")
+
+
+# Each per-row identity below is, on one parity class, a polynomial of degree
+# at most 2 in each n_i.  Such a polynomial that vanishes on a grid
+# S1 x S2 x S3 with |S_i| = 3 is identically zero (Alon, "Combinatorial
+# Nullstellensatz", Combin. Probab. Comput. 8, 1999), so the 27 points of a
+# grid prove the identity for every admissible triple of that parity.  The
+# proof holds only while ``geometry.invariants``, ``geometry._euler_number``
+# and ``numerics._check_q1`` stay branch-free on a parity class: each term
+# they return must be one polynomial there, whatever the size of a degree.
+EVEN_GRID = list(itertools.product((0, 2, 4), (6, 8, 10), (12, 14, 16)))
+ODD_GRID = list(itertools.product((1, 3, 5), (7, 9, 11), (13, 15, 17)))
+
+
+def noether(t):
+    # 12 chi - K^2 - e
+    inv = invariants(t)
+    return 12 * inv.chi - inv.k_squared - _euler_number(*t)
+
+
+def special_c2(t):
+    # 2M - 5 H^2 - 3 H.K - 4 chi
+    inv = invariants(t)
+    return 2 * inv.big_m - 5 * inv.h_squared - 3 * inv.h_dot_k - 4 * inv.chi
+
+
+def cleared_q1(t):
+    # q = 1 in Equality (2.2), cleared: n^2 - 2n(n - 6) - 32 + 8 chi minus
+    # n1^2 + n2^2 + n3^2, the sum _check_q1 returns last.
+    inv = invariants(t)
+    n, sum_sq = inv.n, _check_q1(t, inv)[-1]
+    assert sum_sq == t.n1 ** 2 + t.n2 ** 2 + t.n3 ** 2
+    return n * n - 2 * n * (n - 6) - 32 + 8 * inv.chi - sum_sq
+
+
+@pytest.mark.parametrize(
+    "identity, grid",
+    [(noether, EVEN_GRID), (noether, ODD_GRID), (special_c2, EVEN_GRID), (cleared_q1, EVEN_GRID)],
+    ids=["noether-even", "noether-odd", "special_c2-even", "q1-even"],
+)
+def test_identity_vanishes_on_a_grid(identity, grid):
+    assert len(set(grid)) == 27
+    assert all(identity(BranchTriple(*point)) == 0 for point in grid)
