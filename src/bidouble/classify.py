@@ -28,8 +28,6 @@ searched for.  ``line_bundle_status`` and ``ulrich_complexity`` are
 views of the record.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .citations import (

@@ -24,8 +24,6 @@ from ``_dumps``, which writes what ``json.dumps(value, indent=2)`` would
 without loading the ``json`` package.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -244,7 +242,8 @@ def query_payload(t) -> dict:
 # slots; it is made once per distinct verdict and indent.  ``_dumps`` writes
 # a text slot as "\u0000" and an integer slot as "\u0001".  A row fills its
 # integers by ``%`` and its two texts, the line-bundle reason and the
-# recipe's tangency note, with the C string encoder ``_dumps`` uses.  ``%``
+# recipe's tangency note, with the C string encoder ``_dumps`` uses, once
+# per distinct text in a memo the caller keeps.  ``%``
 # scans only the spans that hold integer slots: one %-template of the whole
 # ~1.1 KB row was about 20% slower per row (2 CPUs, Python 3.11.7).
 
@@ -310,7 +309,9 @@ def _query_json(c: Classification, indent: str = "", templates: dict | None = No
     rest of what the template reads: the line-bundle status and citations,
     the parity and whether there is a recipe (the tests pin this).  Each
     entry holds both records, so their identities cannot pass to other
-    objects while the memo lives."""
+    objects while the memo lives.  The memo also maps each reason and
+    tangency note to its encoded text, keyed by the text itself: across a
+    batch only quadric (0,2,2n) rows bring a new one."""
     t, inv, r, pic, uc = c.triple, c.invariants, c.recipe, c.picard, c.complexity
     if templates is None:
         templates = {}
@@ -322,12 +323,18 @@ def _query_json(c: Classification, indent: str = "", templates: dict | None = No
     encode, pieces = entry[2]
     # Odd covers have no rank-two targets m, M.
     numbers = t + inv if inv.m is not None else t + inv[:6] + ("null", "null")
-    reason = encode(c.line_bundle.reason)
+    text = c.line_bundle.reason
+    reason = templates.get(text)
+    if reason is None:
+        reason = templates[text] = encode(text)
     if r is None:
         head, span, before_reason, tail = pieces
         return "".join((head, span % numbers, before_reason, reason, tail))
     head, span, before_reason, middle, recipe_span, before_note, tail = pieces
-    note = "null" if r.tangency_note is None else encode(r.tangency_note)
+    text = r.tangency_note
+    note = templates.get(text)
+    if note is None:
+        note = templates[text] = "null" if text is None else encode(text)
     return "".join((
         head, span % numbers, before_reason, reason,
         middle, recipe_span % r[:7], before_note, note, tail,
@@ -432,24 +439,44 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
     """Whitespace-separated degrees, three per line; '#' starts a comment.
 
     Returns the valid triples (sorted canonically, duplicates collapsed)
-    and one diagnostic string per skipped line.  One pass: a line of three
-    short ASCII-digit tokens goes straight to ``int``, and each distinct
-    valid triple is validated once.
+    and one diagnostic string per skipped line, an inadmissible triple on
+    every line that names it.  One pass in which a valid line makes no
+    Python-level call: three short ASCII-digit tokens go straight to
+    ``int`` and are sorted by compare-swaps.  Such a triple is
+    nonnegative and sorted, so one that shares a parity and has a nonzero
+    n2 is built without ``BranchTriple``'s checks; any other goes through
+    them, which word its refusal.
     """
     triples, diagnostics = {}, []
     for lineno, raw in enumerate(stream, start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if len(tokens) != 3:
+            if tokens:
+                diagnostics.append(f"line {lineno}: {_line_refusal(tokens)}")
             continue
-        digits = "".join(tokens)
-        # The joined length settles almost every line without the max(),
-        # which slowed the whole parse by more than a tenth.
-        short = len(digits) <= MAX_DIGITS or max(map(len, tokens)) <= MAX_DIGITS
-        if len(tokens) != 3 or not (digits.isascii() and digits.isdigit() and short):
+        n1, n2, n3 = tokens
+        digits = n1 + n2 + n3
+        # The joined length settles almost every line without the max().
+        if not (
+            digits.isascii()
+            and digits.isdigit()
+            and (len(digits) <= MAX_DIGITS or max(len(n1), len(n2), len(n3)) <= MAX_DIGITS)
+        ):
             diagnostics.append(f"line {lineno}: {_line_refusal(tokens)}")
             continue
-        key = tuple(sorted(map(int, tokens)))
-        if key not in triples:
+        n1, n2, n3 = int(n1), int(n2), int(n3)
+        if n1 > n2:
+            n1, n2 = n2, n1
+        if n2 > n3:
+            n2, n3 = n3, n2
+            if n1 > n2:
+                n1, n2 = n2, n1
+        key = (n1, n2, n3)
+        if key in triples:
+            continue
+        if n2 and n1 % 2 == n2 % 2 == n3 % 2:
+            triples[key] = tuple.__new__(BranchTriple, key)
+        else:
             try:
                 triples[key] = BranchTriple(*key)
             except DomainError as exc:

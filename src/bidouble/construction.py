@@ -24,8 +24,6 @@ bundle, existence of the needed sections) are recorded as paper-certified,
 never recomputed.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .citations import COR_SPECIAL, THM_CB, THM_RANK_TWO

@@ -28,8 +28,6 @@ with rho(Y) > 1 are, up to order, (0,2), (0,4), (1,3) and (2,2)
 sorted jump families on every call.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .citations import (

@@ -18,8 +18,6 @@ Presets encode the lattices the classification arguments run on:
   line and two pulled-back exceptional curves.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import isqrt
 

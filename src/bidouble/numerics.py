@@ -40,8 +40,6 @@ the paper ("paper-certified"), and a ``Report`` holds only lines that
 passed, since a failed check raises before it is built.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import isqrt
 from operator import mul

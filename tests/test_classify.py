@@ -289,6 +289,26 @@ def test_row_call_budget():
     assert rows > 3000
 
 
+def test_reader_call_budget():
+    # A valid line of a batch file makes no Python-level call: over 500
+    # distinct valid lines, in every order and some with a comment, the
+    # reader's own call is the only one.
+    triples = cli.enumerate_triples(40)[:500]
+    orders = [(0, 1, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2)]
+    lines = [
+        " ".join(str(t[i]) for i in orders[k % 6]) + (" # row\n" if k % 5 == 0 else "\n")
+        for k, t in enumerate(triples)
+    ]
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+    try:
+        parsed, diagnostics = cli.parse_triples_file(iter(lines))
+    finally:
+        sys.setprofile(None)
+    assert (parsed, diagnostics) == (triples, [])
+    assert [f.f_code.co_name for f in calls] == ["parse_triples_file"]
+
+
 def test_recipe_check_fires_in_classify(monkeypatch, capsys):
     # A recipe whose deg C' is off by one fails the c1 line of the check.
     real = classify_module._build_recipe

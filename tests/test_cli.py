@@ -11,6 +11,7 @@ import subprocess
 import sys
 import types
 import typing
+from _json import encode_basestring_ascii
 
 import pytest
 
@@ -523,7 +524,8 @@ def test_batch_input_long_lines(capsys, tmp_path):
 def test_cli_import_leaves_numpy_out():
     # Neither numpy nor the heavy standard modules load at start-up, no
     # rational arithmetic either, no json and no argparse, which only help
-    # and refusals need; the probe counts only what the import adds, not
+    # and refusals need, and no __future__, whose annotations Python 3.10
+    # evaluates natively; the probe counts only what the import adds, not
     # what site preloads.
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -532,7 +534,7 @@ def test_cli_import_leaves_numpy_out():
             f"import sys; before = set(sys.modules); import {module}; "
             "new = set(sys.modules) - before; "
             "print(sorted(new & {'numpy', 'dataclasses', 'inspect', 'fractions', 'numbers', "
-            "'json', 'argparse'}))"
+            "'json', 'argparse', '__future__'}))"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
@@ -1058,6 +1060,31 @@ def test_json_writer_matches_stdlib(capsys):
             assert cli._query_json(c) == text
             assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
             assert cli._csv_line(c).split(",") == payload_csv_cells(payload)
+    # A batch keeps one memo across its rows.  The templates are all made
+    # above, so under it each distinct reason and tangency note is the only
+    # call of the string encoder: once per batch, not once per row.
+    # Quadric (0,2,2n) rows each have their own reason.
+    records = [classify_module.classify_triple(t) for t in sources["max50"]]
+    notes = {c.recipe.tangency_note for c in records if c.recipe is not None}
+    texts = {c.line_bundle.reason for c in records} | (notes - {None})
+    assert None in notes and len(notes) == 2
+    assert len({c.line_bundle.reason for c in records if c.triple[:2] == (0, 2)}) == 25
+    encoded = []
+
+    def count_encodes(frame, event, arg):
+        if event == "c_call" and arg is encode_basestring_ascii:
+            encoded.append(arg)
+
+    memo = {}
+    sys.setprofile(count_encodes)
+    try:
+        rows = [cli._query_json(c, "  ", memo) for c in records]
+    finally:
+        sys.setprofile(None)
+    assert len(encoded) == len(texts)
+    assert len(records) > 10 * len(texts)
+    for t, row in zip(sources["max50"], rows):
+        assert row == json.dumps(cli.query_payload(t), indent=2).replace("\n", "\n  ")
     for name in ("triples.txt", "triples_bad.txt"):
         triples, payloads = sources[name], [cli.query_payload(t) for t in sources[name]]
         assert triples

@@ -14,7 +14,7 @@ import tempfile
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import bidouble.cli as cli  # noqa: E402
@@ -197,12 +197,31 @@ def triples_files(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + "".join(lines)
 
 
+# A mixed-parity and a two-zero triple, each on three lines in different
+# orders, with valid lines between the repeats: the reader builds a valid
+# triple without BranchTriple's checks, so these lines test that every
+# other triple still goes through them, once per line.  Each maps to the
+# lines that must be skipped.
+REPEATED_REFUSALS = {
+    "\ufeff2 3 4\r\n2 4 6\r\n0 0 4\r\n4 3 2\r\n1 3 5\r\n0 4 0\r\n"
+    "3 2 4 # again\r\n2 6 4\r\n4 0 0\r\n": [1, 3, 4, 6, 7, 9],
+    "\ufeff0 0 2\r\n5 7 6\r\n1 3 5\r\n2 0 0\r\n3 3 3\r\n6 5 7\r\n"
+    "0\t2\t0\r\n\r\n7 6 5\r\n0 2 4\r\n": [1, 2, 4, 6, 7, 9],
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(triples_files())
+@example(list(REPEATED_REFUSALS)[0])
+@example(list(REPEATED_REFUSALS)[1])
 def test_reader_matches_reference(text):
     # Decoded as the batch command opens a file: utf-8-sig, universal newlines.
     lines = list(io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8-sig"))
-    assert cli.parse_triples_file(iter(lines)) == reference_parse_triples_file(iter(lines))
+    triples, diagnostics = cli.parse_triples_file(iter(lines))
+    assert (triples, diagnostics) == reference_parse_triples_file(iter(lines))
+    if text in REPEATED_REFUSALS:
+        assert [int(d.split(":")[0].split()[1]) for d in diagnostics] == REPEATED_REFUSALS[text]
+        assert len({d.split(": ", 1)[1] for d in diagnostics}) == 2
 
 
 # (0,2,2n) with n >= 3 of 1 to 299 digits, so n3 = 2n has up to 300, in
