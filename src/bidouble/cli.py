@@ -138,8 +138,12 @@ def _warn(text: str) -> None:
 #
 # ``_payload`` is the one place the row schema is written: ``query_payload``
 # returns it, and the JSON writer takes its templates from ``_dumps`` of
-# it.  CSV and text are written straight from the ``Classification``
-# record; the tests hold their cells to the payload.
+# it.  ``_csv_template`` is the one place the CSV column layout is written;
+# the text table is the CSV cells padded to column widths.  All three
+# writers fill per-verdict templates: a batch keeps one memo, keyed by the
+# identities of a row's Picard and complexity records, and a row fills
+# only its numbers (and, in JSON, its two texts).  The tests hold the CSV
+# cells to the payload.
 
 
 def _dumps(value, newline: str = "\n") -> str:
@@ -349,16 +353,37 @@ def _uc_value_text(uc: ComplexityVerdict) -> str:
     return f">={uc.bounds[0]}"
 
 
-def _csv_line(c: Classification) -> str:
-    """The row's CSV line, without its newline.  No cell holds a comma,
+def _csv_template(c: Classification, parity: str) -> str:
+    """The %-template of a CSV line with the verdicts of ``c``: the CSV
+    column layout, with a slot for each of n1, n2, n3, K^2 and chi, and for
+    the recipe's deg C, deg C' and #Z when there is a recipe.  ``parity``
+    is passed in as ``_payload`` takes it.  The constant text is
+    %-escaped as ``_int_template`` escapes it.  No cell holds a comma,
     quote or newline, so no cell needs quoting."""
-    t, inv, r = c.triple, c.invariants, c.recipe
-    recipe = ",," if r is None else f"{r.deg_c},{r.deg_cprime},{r.z_count}"
-    return (
-        f"{t.n1},{t.n2},{t.n3},{t.parity},{inv.k_squared},{inv.chi},"
-        f"{'false' if c.picard.rho_is_one else 'true'},{c.line_bundle.status},"
-        f"{c.complexity.kind},{_uc_value_text(c.complexity)},{recipe}"
+    uc = c.complexity
+    recipe = ("",) * 3 if c.recipe is None else (_INT,) * 3
+    cells = (
+        _INT, _INT, _INT, parity, _INT, _INT,
+        "false" if c.picard.rho_is_one else "true", c.line_bundle.status,
+        uc.kind, _uc_value_text(uc), *recipe,
     )
+    return ",".join(cells).replace("%", "%%").replace(_INT, "%s")
+
+
+def _csv_line(c: Classification, templates: dict | None = None) -> str:
+    """The row's CSV line, without its newline.  ``templates`` is a memo the
+    caller keeps across rows, keyed and held as ``_query_json`` keeps its
+    own: the complexity record alone does not fix the line, since odd rows
+    with rho = 1 and with rho > 1 share one."""
+    t, inv, pic, _, uc, r = c
+    if templates is None:
+        templates = {}
+    entry = templates.get((id(pic), id(uc)))
+    if entry is None:
+        entry = templates[id(pic), id(uc)] = (pic, uc, _csv_template(c, t.parity))
+    if r is None:
+        return entry[2] % (t + inv[:2])
+    return entry[2] % (t + inv[:2] + r[4:7])
 
 
 def _query_text(c: Classification) -> str:
@@ -406,7 +431,9 @@ def _query_text(c: Classification) -> str:
 
 def enumerate_triples(max_degree: int) -> list[BranchTriple]:
     """All admissible sorted triples with n3 <= max_degree, in lex order:
-    one shared parity, so steps of 2, and no second zero after n1 = 0."""
+    one shared parity, so steps of 2, and no second zero after n1 = 0.
+    Each row is built by ``tuple.__new__``, without ``BranchTriple``'s
+    checks or ``_make``, so the list costs no Python-level call per row."""
     if max_degree > MAX_ENUMERATED_DEGREE:
         raise DomainError(
             f"--max-degree {number_text(max_degree)} is above the ceiling "
@@ -414,9 +441,9 @@ def enumerate_triples(max_degree: int) -> list[BranchTriple]:
         )
     # The loops produce only admissible sorted triples, so no row is
     # validated again.
-    make = BranchTriple._make
+    new = tuple.__new__
     return [
-        make((n1, n2, n3))
+        new(BranchTriple, (n1, n2, n3))
         for n1 in range(max_degree + 1)
         for n2 in range(n1 if n1 else 2, max_degree + 1, 2)
         for n3 in range(n2, max_degree + 1, 2)
@@ -513,11 +540,15 @@ def _write_blocks(write, texts, sep: str, end: str) -> None:
 def _write_table(records: list[Classification], write) -> None:
     # Column widths need every row, so the cells are rendered twice
     # rather than held.
+    templates = {}
     widths = list(map(len, CSV_COLUMNS))
     for c in records:
-        widths = list(map(max, widths, map(len, _csv_line(c).split(","))))
+        widths = list(map(max, widths, map(len, _csv_line(c, templates).split(","))))
     write("  ".join(map(str.ljust, CSV_COLUMNS, widths)).rstrip() + "\n")
-    lines = ("  ".join(map(str.ljust, _csv_line(c).split(","), widths)).rstrip() for c in records)
+    lines = (
+        "  ".join(map(str.ljust, _csv_line(c, templates).split(","), widths)).rstrip()
+        for c in records
+    )
     _write_blocks(write, lines, "\n", "\n")
 
 
@@ -542,7 +573,7 @@ def cmd_batch(args) -> int:
         _write_blocks(write, rows, ",\n  ", "\n]\n")
     elif args.format == "csv":
         write(CSV_HEADER + "\n")
-        _write_blocks(write, map(_csv_line, records), "\n", "\n")
+        _write_blocks(write, map(_csv_line, records, repeat({})), "\n", "\n")
     else:
         _write_table(records, write)
     if diagnostics:

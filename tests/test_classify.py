@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -307,6 +308,59 @@ def test_reader_call_budget():
         sys.setprofile(None)
     assert (parsed, diagnostics) == (triples, [])
     assert [f.f_code.co_name for f in calls] == ["parse_triples_file"]
+
+
+# Python-level calls of `batch --max-degree 40`, counted on Python 3.11;
+# other versions inline comprehensions or add calls of their own.
+BATCH_MAX40_CALLS = {"csv": 35_200, "text": 41_800}
+
+
+@pytest.mark.parametrize("fmt, passes", [("csv", 1), ("text", 2)])
+def test_writer_call_budget(fmt, passes, monkeypatch):
+    # A row is written by filling its verdicts' template: _csv_line runs
+    # once per row and pass, and what makes a template (the parity, the
+    # complexity value's text, any BranchTriple._make) runs at most once
+    # per distinct memo key, never once per row.  enumerate_triples makes
+    # no Python-level call per row.
+    records = [classify_triple(t) for t in cli.enumerate_triples(40)]
+    keys = len({(id(c.picard), id(c.complexity)) for c in records})
+    assert 10 * keys < len(records)
+    make_code = geometry_module.BranchTriple._make.__func__.__code__
+    enumerate_code = cli.enumerate_triples.__code__
+    calls, enumerating = Counter(), []
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        # Every namedtuple shares the code of _make: tell them by class.
+        calls["BranchTriple._make" if code is make_code
+              and frame.f_locals.get("cls") is geometry_module.BranchTriple else code] += 1
+        caller = frame
+        while caller is not None and caller.f_code is not enumerate_code:
+            caller = caller.f_back
+        if caller is not None:
+            enumerating.append(code.co_name)
+
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["batch", "--max-degree", "40", "--format", fmt])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert calls[cli._csv_line.__code__] == passes * len(records)
+    makers = (
+        calls[cli._csv_template.__code__],
+        calls[geometry_module.BranchTriple.parity.fget.__code__],
+        calls[cli._uc_value_text.__code__],
+        calls["BranchTriple._make"],
+    )
+    assert all(count <= keys for count in makers), (keys, makers)
+    # The function itself, and on Python < 3.12 its list comprehension.
+    assert len(enumerating) <= 2, enumerating
+    if sys.version_info[:2] == (3, 11):
+        assert sum(calls.values()) <= BATCH_MAX40_CALLS[fmt]
 
 
 def test_recipe_check_fires_in_classify(monkeypatch, capsys):

@@ -1048,10 +1048,15 @@ def payload_csv_cells(payload: dict) -> list[str]:
 def test_json_writer_matches_stdlib(capsys):
     # The renderers read the Classification record; query_payload is their
     # reference, through json.dumps and through the CSV cells above.
-    sources = {"max50": cli.enumerate_triples(50)}
+    # The odd jumps come first: they share the complexity record of the
+    # rho = 1 odd rows in max50, such as (1,1,1), but not their rho_gt_1
+    # cell, so a CSV memo keyed by that record alone writes a wrong cell.
+    sources = {"odd jumps": [BranchTriple(1, 1, 3), BranchTriple(1, 3, 5), BranchTriple(1, 5, 7)],
+               "max50": cli.enumerate_triples(50)}
     for name in ("triples.txt", "triples_bad.txt"):
         with open(DATA / name) as stream:
             sources[name], _ = cli.parse_triples_file(stream)
+    csv_memo = {}  # shared across every row, as cmd_batch shares its own
     for triples in sources.values():
         for t in triples:
             c = classify_module.classify_triple(t)
@@ -1059,7 +1064,9 @@ def test_json_writer_matches_stdlib(capsys):
             text = json.dumps(payload, indent=2)
             assert cli._query_json(c) == text
             assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
-            assert cli._csv_line(c).split(",") == payload_csv_cells(payload)
+            cells = payload_csv_cells(payload)
+            assert cli._csv_line(c).split(",") == cells
+            assert cli._csv_line(c, csv_memo).split(",") == cells
     # A batch keeps one memo across its rows.  The templates are all made
     # above, so under it each distinct reason and tangency note is the only
     # call of the string encoder: once per batch, not once per row.
@@ -1156,6 +1163,25 @@ def test_json_writer_takes_percent_signs(monkeypatch):
             assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
     finally:
         cli._json_template.cache_clear()
+
+
+def test_csv_writer_takes_percent_signs(monkeypatch):
+    # A CSV line is a %-template filled with the row's numbers; a verdict
+    # text with "%", "%d", "%s" and "%%" in it is written as it stands.
+    kind = "100% up: %d %s %%"
+    monkeypatch.setattr(
+        classify_module,
+        "_UC_ODD",
+        classify_module._UC_ODD._replace(kind=kind),
+    )
+    memo = {}
+    for t in ((1, 3, 5), (3, 5, 7)):
+        c = classify_module.classify_triple(t)
+        assert c.complexity.kind == kind
+        cells = payload_csv_cells(cli.query_payload(t))
+        assert cells[8] == kind
+        assert cli._csv_line(c).split(",") == cells
+        assert cli._csv_line(c, memo).split(",") == cells
 
 
 def test_batch_without_rows(capsys, tmp_path):
@@ -1834,7 +1860,8 @@ def test_batch_max30_bytes(fmt, capsys):
 
 # sha256 of `batch --input tests/data/<file> --format <fmt>` stdout and
 # stderr, pinned before the reader and the writer were rewritten.  CI
-# checks the installed CLI against the triples_bad.txt JSON digests.
+# checks the installed CLI against the triples_bad.txt digests of every
+# format.
 BATCH_INPUT_SHA256 = {
     "triples.txt csv stdout": "ddd0248744a88293dba1c9b9223d4cb154f59586d940a5a780cf825645e19722",
     "triples.txt csv stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -1908,6 +1935,30 @@ def test_classify_json_bytes(triple, capsys):
     code, out, err = run(["classify", *triple.split(), "--format", "json"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_JSON_SHA256[triple]
+
+
+# `classify N1 N2 N3 --format csv` data lines for the triples above, taken
+# before the CSV writer filled templates.  Each classify run makes its own
+# template, which the batch digests do not reach.
+CLASSIFY_CSV_LINES = {
+    "1 3 5": "1,3,5,odd,9,5,true,impossible,lower_bound_only,>=2,,,",
+    "3 5 7": "3,5,7,odd,81,20,false,impossible,lower_bound_only,>=2,,,",
+    "0 2 2": "0,2,2,even,4,1,true,exists,exact,1,,,",
+    "0 2 4": "0,2,4,even,0,2,true,exists,exact,1,4,2,14",
+    "0 2 30": "0,2,30,even,676,197,true,impossible,exact,2,121,106,482",
+    "0 4 10": "0,4,10,even,64,22,true,open,upper_bound,1..2,20,14,78",
+    "2 2 8": "2,2,8,even,36,13,true,open,upper_bound,1..2,14,9,54",
+    "2 4 6": "2,4,6,even,36,11,false,impossible,exact,2,13,8,50",
+    "4 8 12": "4,8,12,even,324,68,false,impossible,exact,2,50,39,200",
+}
+
+
+@pytest.mark.parametrize("triple", list(CLASSIFY_JSON_SHA256))
+def test_classify_csv_bytes(triple, capsys):
+    code, out, err = run(["classify", *triple.split(), "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    header = GOLDEN_MAX4_CSV.splitlines(keepends=True)[0]
+    assert out == header + CLASSIFY_CSV_LINES[triple] + "\n"
 
 
 # sha256 of `search lattice --preset delpezzo4 --degree 3 --selfint -217
