@@ -27,7 +27,6 @@ without loading the ``json`` package.
 import gc
 import os
 import sys
-from functools import cache
 from itertools import islice, repeat
 from types import SimpleNamespace
 
@@ -41,7 +40,7 @@ from .citations import (
 from .classify import Classification, ComplexityVerdict, LineBundleStatus, classify_triple
 from .construction import CBRecipe
 from .errors import ConsistencyError, DomainError, number_text
-from .geometry import BranchTriple, PicardClassification, SurfaceInvariants, validate_triple
+from .geometry import BranchTriple, SurfaceInvariants, validate_triple
 from .lattice import _box_bound, brute_force_search, preset_lattice
 from .numerics import FeasibilityVerdict, _describe_hits, p1xp1_line_search, rank1_rho1_search
 
@@ -142,8 +141,9 @@ def _warn(text: str) -> None:
 # the text table is the CSV cells padded to column widths.  All three
 # writers fill per-verdict templates: a batch keeps one memo, keyed by the
 # identities of a row's Picard and complexity records, and a row fills
-# only its numbers (and, in JSON, its two texts).  The tests hold the CSV
-# cells to the payload.
+# only its numbers (and, in JSON, its two texts).  Both records are
+# module-held constants, one per verdict, so a batch has at most 11 keys.
+# The tests hold the CSV cells to the payload.
 
 
 def _dumps(value, newline: str = "\n") -> str:
@@ -243,7 +243,7 @@ def query_payload(t) -> dict:
 
 # JSON rows are written from templates, not by ``_dumps`` of each payload.
 # A template is ``_dumps`` of ``_payload`` on a record whose own values are
-# slots; it is made once per distinct verdict and indent.  ``_dumps`` writes
+# slots; a memo makes it once per distinct verdict.  ``_dumps`` writes
 # a text slot as "\u0000" and an integer slot as "\u0001".  A row fills its
 # integers by ``%`` and its two texts, the line-bundle reason and the
 # recipe's tangency note, with the C string encoder ``_dumps`` uses, once
@@ -274,30 +274,19 @@ def _cut_at_slots(text: str) -> tuple:
     return tuple(pieces)
 
 
-@cache
-def _json_template(
-    parity: str,
-    pic: PicardClassification,
-    status: str,
-    lb_cites: tuple,
-    uc: ComplexityVerdict,
-    has_recipe: bool,
-    indent: str,
-) -> tuple:
-    """The C string encoder and the cut template of a row with these
-    verdicts, ``indent`` before every line but the first."""
-    from _json import encode_basestring_ascii
-
+def _json_template(c: Classification, indent: str) -> tuple:
+    """The cut template of a JSON row with the verdicts of ``c``,
+    ``indent`` before every line but the first."""
+    lb = c.line_bundle
     slotted = Classification(
         BranchTriple._make((_INT,) * 3),
         SurfaceInvariants._make((_INT,) * 8),
-        pic,
-        LineBundleStatus(status, _TEXT, lb_cites),
-        uc,
-        CBRecipe._make((_INT,) * 7 + (_TEXT,)) if has_recipe else None,
+        c.picard,
+        LineBundleStatus(lb.status, _TEXT, lb.citations),
+        c.complexity,
+        None if c.recipe is None else CBRecipe._make((_INT,) * 7 + (_TEXT,)),
     )
-    text = _dumps(_payload(slotted, parity), "\n" + indent)
-    return encode_basestring_ascii, _cut_at_slots(text)
+    return _cut_at_slots(_dumps(_payload(slotted, c.triple.parity), "\n" + indent))
 
 
 def _query_json(c: Classification, indent: str = "", templates: dict | None = None) -> str:
@@ -307,29 +296,27 @@ def _query_json(c: Classification, indent: str = "", templates: dict | None = No
     integer slots as they are.
 
     ``templates`` is a memo the caller keeps across rows of one indent.  It
-    is keyed by the identities of the row's Picard and complexity records,
-    so a row hashes no nested record.  A complexity record is one of the
-    classifier's constants, each returned by one branch, which fixes the
-    rest of what the template reads: the line-bundle status and citations,
-    the parity and whether there is a recipe (the tests pin this).  Each
-    entry holds both records, so their identities cannot pass to other
-    objects while the memo lives.  The memo also maps each reason and
-    tangency note to its encoded text, keyed by the text itself: across a
-    batch only quadric (0,2,2n) rows bring a new one."""
-    t, inv, r, pic, uc = c.triple, c.invariants, c.recipe, c.picard, c.complexity
+    maps the identities of the row's Picard and complexity records to the
+    row's template, so a row hashes no nested record.  A complexity record
+    is returned by one branch of the classifier, which fixes the rest of
+    what the template reads: the line-bundle status and citations, the
+    parity and whether there is a recipe (the tests pin this).  The memo
+    also maps each reason and tangency note to its encoded text, keyed by
+    the text itself: across a batch only quadric (0,2,2n) rows bring a
+    new one."""
+    t, inv, r = c.triple, c.invariants, c.recipe
     if templates is None:
         templates = {}
-    entry = templates.get((id(pic), id(uc)))
-    if entry is None:
-        lb = c.line_bundle
-        template = _json_template(t.parity, pic, lb.status, lb.citations, uc, r is not None, indent)
-        entry = templates[id(pic), id(uc)] = (pic, uc, template)
-    encode, pieces = entry[2]
+    key = id(c.picard), id(c.complexity)
+    pieces = templates.get(key)
+    if pieces is None:
+        pieces = templates[key] = _json_template(c, indent)
     # Odd covers have no rank-two targets m, M.
     numbers = t + inv if inv.m is not None else t + inv[:6] + ("null", "null")
     text = c.line_bundle.reason
     reason = templates.get(text)
     if reason is None:
+        from _json import encode_basestring_ascii as encode
         reason = templates[text] = encode(text)
     if r is None:
         head, span, before_reason, tail = pieces
@@ -338,6 +325,7 @@ def _query_json(c: Classification, indent: str = "", templates: dict | None = No
     text = r.tangency_note
     note = templates.get(text)
     if note is None:
+        from _json import encode_basestring_ascii as encode
         note = templates[text] = "null" if text is None else encode(text)
     return "".join((
         head, span % numbers, before_reason, reason,
@@ -372,18 +360,18 @@ def _csv_template(c: Classification, parity: str) -> str:
 
 def _csv_line(c: Classification, templates: dict | None = None) -> str:
     """The row's CSV line, without its newline.  ``templates`` is a memo the
-    caller keeps across rows, keyed and held as ``_query_json`` keeps its
-    own: the complexity record alone does not fix the line, since odd rows
-    with rho = 1 and with rho > 1 share one."""
+    caller keeps across rows, keyed as ``_query_json`` keys its own: the
+    complexity record alone does not fix the line, since odd rows with
+    rho = 1 and with rho > 1 share one."""
     t, inv, pic, _, uc, r = c
     if templates is None:
         templates = {}
-    entry = templates.get((id(pic), id(uc)))
-    if entry is None:
-        entry = templates[id(pic), id(uc)] = (pic, uc, _csv_template(c, t.parity))
+    template = templates.get((id(pic), id(uc)))
+    if template is None:
+        template = templates[id(pic), id(uc)] = _csv_template(c, t.parity)
     if r is None:
-        return entry[2] % (t + inv[:2])
-    return entry[2] % (t + inv[:2] + r[4:7])
+        return template % (t + inv[:2])
+    return template % (t + inv[:2] + r[4:7])
 
 
 def _query_text(c: Classification) -> str:

@@ -19,9 +19,9 @@ identity the construction rests on, once, as integers and booleans;
 ``classify_triple`` runs it on every even row.  The labelled check table,
 whose rows hold (label, cite, holds, template, numbers), is built from its
 results only where it is read: by ``verify_recipe``, which renders it
-line by line, and on a failure, to name the failed lines.  The sheaf-level steps (the extension defining the
-bundle, existence of the needed sections) are recorded as paper-certified,
-never recomputed.
+line by line, and on a failure, to name the failed lines.  The
+sheaf-level steps (the extension defining the bundle, existence of the
+needed sections) are recorded as paper-certified, never recomputed.
 """
 
 from collections import namedtuple

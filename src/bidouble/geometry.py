@@ -29,6 +29,7 @@ sorted jump families on every call.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from .citations import (
     COR_PICARD,
@@ -258,21 +259,27 @@ def picard_classification(triple) -> PicardClassification:
     The witnesses list every intermediate cover with rho(Y) > 1, in the
     fixed order (n2,n3), (n1,n3), (n1,n2); repeated pairs are reported
     once per occurrence.  The pairwise verdict is cross-checked against
-    the closed-form family list and a disagreement raises ConsistencyError.
+    the closed-form family list on every call, before the verdict's one
+    shared record is looked up; a disagreement raises ConsistencyError.
     """
     t = triple if isinstance(triple, BranchTriple) else validate_triple(triple)
     n1, n2, n3 = t
     if n1 + n2 >= 6:  # every pair sums to at least n1 + n2, so none jumps
-        witnesses = ()
-    else:  # only a pair that jumps gets its record
-        witnesses = tuple(
-            [intermediate_picard(a, b) for a, b in ((n2, n3), (n1, n3), (n1, n2))
-             if _rho(a, b) > 1]
-        )
+        pairs = ()
+    else:
+        pairs = tuple([(a, b) for a, b in ((n2, n3), (n1, n3), (n1, n2)) if _rho(a, b) > 1])
     family = picard_jump_family(t)
-    if (not witnesses) != (family is None):
+    if (not pairs) != (family is None):
         raise ConsistencyError(
             f"pairwise rho test ({LEM_INTERMEDIATE}, {COR_PICARD}) and family list "
             f"({THM_PICARD}) disagree on {tuple_text(t)}"
         )
-    return PicardClassification(False, witnesses, family) if witnesses else _RHO_ONE
+    return _jump_record(pairs, family) if pairs else _RHO_ONE
+
+
+@cache
+def _jump_record(pairs: tuple, family: str) -> PicardClassification:
+    """The shared verdict of every cover with these jumping ``pairs``, in
+    witness order, and this ``family``: one of nine (Thm. 1.1)."""
+    witnesses = tuple([intermediate_picard(a, b) for a, b in pairs])
+    return PicardClassification(False, witnesses, family)

@@ -30,7 +30,12 @@ from bidouble.classify import (
 )
 from bidouble.construction import special_rank2_recipe, verify_recipe
 from bidouble.errors import ConsistencyError, DomainError
-from bidouble.geometry import validate_triple
+from bidouble.geometry import (
+    PicardClassification,
+    intermediate_picard,
+    picard_jump_family,
+    validate_triple,
+)
 
 
 def all_triples(max_degree):
@@ -245,20 +250,25 @@ def test_row_builds_nothing_no_output_reads(monkeypatch):
         return real_validate(triple)
 
     patch_every_binding(monkeypatch, real_validate, validate)
-    jumping = 0
+    geometry_module._jump_record.cache_clear()
+    jumping, shapes = 0, set()
     for t in all_triples(16):
         calls.clear()
         c = classify_triple(t.as_tuple())
         n1, n2, _ = t
-        # Only a jumping pair gets its record; a rho = 1 row gets the one
-        # module-level verdict, and no pair is tested when every pair
-        # sums to at least n1 + n2 >= 6.
-        assert calls["intermediate_picard"] == len(c.picard.witnesses), t.as_tuple()
+        # Only a jumping pair gets its record, and only the first time its
+        # jump shape is seen: later rows of that shape share the record.  A
+        # rho = 1 row gets the one module-level verdict, and no pair is
+        # tested when every pair sums to at least n1 + n2 >= 6.
+        built = 0 if c.picard in shapes else len(c.picard.witnesses)
+        assert calls["intermediate_picard"] == built, t.as_tuple()
         if c.picard.rho_is_one:
             assert c.picard is geometry_module._RHO_ONE, t.as_tuple()
+        else:
+            shapes.add(c.picard)
         if n1 + n2 >= 6:
             assert calls["_rho"] == 0, t.as_tuple()
-        jumping += len(c.picard.witnesses)
+        jumping += built
         # A passing recipe check builds no labelled table.
         assert calls["_recipe_table"] == calls["_failed"] == 0, (t.as_tuple(), dict(calls))
         # The nested checks take validate_triple's fast path.
@@ -267,6 +277,28 @@ def test_row_builds_nothing_no_output_reads(monkeypatch):
     # verify_recipe still builds the table it renders
     verify_recipe((2, 4, 6), special_rank2_recipe((2, 4, 6)))
     assert calls["_recipe_table"] == 1
+
+
+def test_rows_share_one_record_per_picard_verdict():
+    # Thm. 1.1 leaves ten Picard verdicts: rho(S) = 1 and nine jump shapes.
+    # Every row with one verdict gets one shared record, equal to the one
+    # built fresh from its pairs, so a writer's memo has 11 keys at any size.
+    geometry_module._jump_record.cache_clear()
+    triples = cli.enumerate_triples(100)
+    for n in (5, 6, 50, 10**6, 10**30):
+        triples += [(0, 2, 2 * n), (0, 4, 2 * n), (1, 3, 2 * n + 1), (2, 2, 2 * n)]
+    records, pairs = {}, set()
+    for t in triples:
+        c = classify_triple(t)
+        n1, n2, n3 = c.triple
+        witnesses = tuple([w for w in map(intermediate_picard, (n2, n1, n1), (n3, n3, n2))
+                           if w.rho > 1])
+        fresh = PicardClassification(not witnesses, witnesses, picard_jump_family(c.triple))
+        assert records.setdefault(id(c.picard), c.picard) == fresh, t
+        pairs.add((id(c.picard), id(c.complexity)))
+    assert len(records) <= 10
+    assert len(pairs) == 11
+    assert geometry_module._jump_record.cache_info().currsize <= 9
 
 
 def test_row_call_budget():
@@ -312,19 +344,20 @@ def test_reader_call_budget():
 
 # Python-level calls of `batch --max-degree 40`, counted on Python 3.11;
 # other versions inline comprehensions or add calls of their own.
-BATCH_MAX40_CALLS = {"csv": 35_200, "text": 41_800}
+BATCH_MAX40_CALLS = {"csv": 34_500, "json": 35_500, "text": 41_100}
 
 
-@pytest.mark.parametrize("fmt, passes", [("csv", 1), ("text", 2)])
+@pytest.mark.parametrize("fmt, passes", [("csv", 1), ("json", 1), ("text", 2)])
 def test_writer_call_budget(fmt, passes, monkeypatch):
-    # A row is written by filling its verdicts' template: _csv_line runs
-    # once per row and pass, and what makes a template (the parity, the
-    # complexity value's text, any BranchTriple._make) runs at most once
-    # per distinct memo key, never once per row.  enumerate_triples makes
-    # no Python-level call per row.
+    # A row is written by filling its verdicts' template: the row writer
+    # runs once per row and pass, and what makes a template (the parity,
+    # the complexity value's text, any BranchTriple._make) runs at most
+    # once per distinct memo key, never once per row.  Each Picard and
+    # complexity verdict is one shared record, so there are 11 keys.
+    # enumerate_triples makes no Python-level call per row.
     records = [classify_triple(t) for t in cli.enumerate_triples(40)]
     keys = len({(id(c.picard), id(c.complexity)) for c in records})
-    assert 10 * keys < len(records)
+    assert keys == 11
     make_code = geometry_module.BranchTriple._make.__func__.__code__
     enumerate_code = cli.enumerate_triples.__code__
     calls, enumerating = Counter(), []
@@ -349,9 +382,11 @@ def test_writer_call_budget(fmt, passes, monkeypatch):
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert calls[cli._csv_line.__code__] == passes * len(records)
+    writer, maker = ((cli._query_json, cli._json_template) if fmt == "json"
+                     else (cli._csv_line, cli._csv_template))
+    assert calls[writer.__code__] == passes * len(records)
     makers = (
-        calls[cli._csv_template.__code__],
+        calls[maker.__code__],
         calls[geometry_module.BranchTriple.parity.fget.__code__],
         calls[cli._uc_value_text.__code__],
         calls["BranchTriple._make"],

@@ -220,6 +220,17 @@ def test_picard_classification_matches_families_everywhere():
 
 
 def test_picard_pairs_vs_family_list_fires(monkeypatch):
+    # The check runs on every call, before the shared record is looked up:
+    # a warm memo neither skips it nor masks a changed family.
+    warm = picard_classification((2, 2, 2))
+    assert picard_classification((2, 2, 2)) is warm
     monkeypatch.setattr("bidouble.geometry.picard_jump_family", lambda t: None)
     with pytest.raises(ConsistencyError, match="family list"):
         picard_classification((2, 2, 2))
+    monkeypatch.setattr("bidouble.geometry.picard_jump_family", lambda t: "(0,2,2n)")
+    try:
+        patched = picard_classification((2, 2, 2))
+        assert patched.family == "(0,2,2n)"
+        assert patched.witnesses == warm.witnesses
+    finally:
+        geometry_module._jump_record.cache_clear()
