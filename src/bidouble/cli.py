@@ -37,10 +37,9 @@ from .citations import (
     THM_RANK_TWO,
     canonical_order,
 )
-from .classify import Classification, ComplexityVerdict, LineBundleStatus, classify_triple
-from .construction import CBRecipe
-from .errors import ConsistencyError, DomainError, number_text
-from .geometry import BranchTriple, SurfaceInvariants, validate_triple
+from .classify import Classification, ComplexityVerdict, classify_triple
+from .errors import ConsistencyError, DomainError, number_text, tuple_text
+from .geometry import BranchTriple, picard_classification, validate_triple
 from .lattice import _box_bound, brute_force_search, preset_lattice
 from .numerics import FeasibilityVerdict, _describe_hits, p1xp1_line_search, rank1_rho1_search
 
@@ -136,11 +135,11 @@ def _warn(text: str) -> None:
 # query assembly and rendering
 #
 # ``_payload`` is the one place the row schema is written: ``query_payload``
-# returns it, and the JSON writer takes its templates from ``_dumps`` of
-# it.  ``_csv_template`` is the one place the CSV column layout is written;
-# the text table is the CSV cells padded to column widths.  All three
-# writers fill per-verdict templates: a batch keeps one memo, keyed by the
-# identities of a row's Picard and complexity records, and a row fills
+# returns it, and a JSON template is ``_dumps`` of a row's own payload.
+# ``_csv_template`` is the one place the CSV column layout is written; the
+# text table is the CSV cells padded to column widths.  All three writers
+# fill per-verdict templates from the memo their command keeps, keyed by
+# the identities of a row's Picard and complexity records, and a row fills
 # only its numbers (and, in JSON, its two texts).  Both records are
 # module-held constants, one per verdict, so a batch has at most 11 keys.
 # The tests hold the CSV cells to the payload.
@@ -186,12 +185,11 @@ def _row_citations(c: Classification) -> tuple:
     )
 
 
-def _payload(c: Classification, parity: str) -> dict:
-    """The row schema, in output order.  ``parity`` is passed apart from
-    ``c.triple`` because the JSON writer hands in a record whose numbers
-    are slots."""
+def _payload(c: Classification) -> dict:
+    """The row schema of ``c``, in output order."""
     t, inv, pic = c.triple, c.invariants, c.picard
     lb, uc, recipe = c.line_bundle, c.complexity, c.recipe
+    parity = t.parity
     return {
         "triple": {"n1": t.n1, "n2": t.n2, "n3": t.n3, "parity": parity},
         "generic": True,
@@ -237,19 +235,18 @@ def query_payload(t) -> dict:
     Integers, strings, booleans and nulls only; field order is fixed so
     identical inputs render byte-identically.
     """
-    c = classify_triple(t)
-    return _payload(c, c.triple.parity)
+    return _payload(classify_triple(t))
 
 
 # JSON rows are written from templates, not by ``_dumps`` of each payload.
-# A template is ``_dumps`` of ``_payload`` on a record whose own values are
-# slots; a memo makes it once per distinct verdict.  ``_dumps`` writes
-# a text slot as "\u0000" and an integer slot as "\u0001".  A row fills its
+# A template is ``_dumps`` of a row's own payload with its per-row values
+# replaced by slots, made once per distinct verdict.  ``_dumps`` writes a
+# text slot as "\u0000" and an integer slot as "\u0001".  A row fills its
 # integers by ``%`` and its two texts, the line-bundle reason and the
 # recipe's tangency note, with the C string encoder ``_dumps`` uses, once
-# per distinct text in a memo the caller keeps.  ``%``
-# scans only the spans that hold integer slots: one %-template of the whole
-# ~1.1 KB row was about 20% slower per row (2 CPUs, Python 3.11.7).
+# per distinct text in the memo.  ``%`` scans only the spans that hold
+# integer slots: one %-template of the whole ~1.1 KB row was about 20%
+# slower per row (2 CPUs, Python 3.11.7).
 
 _TEXT, _INT = "\x00", "\x01"
 _TEXT_JSON, _INT_JSON = '"\\u0000"', '"\\u0001"'  # the JSON spelling of each slot
@@ -275,38 +272,35 @@ def _cut_at_slots(text: str) -> tuple:
 
 
 def _json_template(c: Classification, indent: str) -> tuple:
-    """The cut template of a JSON row with the verdicts of ``c``,
-    ``indent`` before every line but the first."""
-    lb = c.line_bundle
-    slotted = Classification(
-        BranchTriple._make((_INT,) * 3),
-        SurfaceInvariants._make((_INT,) * 8),
-        c.picard,
-        LineBundleStatus(lb.status, _TEXT, lb.citations),
-        c.complexity,
-        None if c.recipe is None else CBRecipe._make((_INT,) * 7 + (_TEXT,)),
-    )
-    return _cut_at_slots(_dumps(_payload(slotted, c.triple.parity), "\n" + indent))
+    """The cut template of the JSON rows with the verdicts of ``c``,
+    ``indent`` before every line but the first: the payload of ``c`` with
+    its triple's numbers, its invariants, its line-bundle reason and its
+    recipe, if any, replaced by slots."""
+    payload = _payload(c)
+    payload["triple"].update(n1=_INT, n2=_INT, n3=_INT)
+    payload["invariants"] = dict.fromkeys(payload["invariants"], _INT)
+    payload["line_bundle"]["reason"] = _TEXT
+    if c.recipe is not None:
+        payload["recipe"] = dict.fromkeys(payload["recipe"], _INT) | {"tangency_note": _TEXT}
+    return _cut_at_slots(_dumps(payload, "\n" + indent))
 
 
-def _query_json(c: Classification, indent: str = "", templates: dict | None = None) -> str:
+def _query_json(c: Classification, indent: str, templates: dict) -> str:
     """``json.dumps(query_payload(t), indent=2)``, with ``indent`` before
     every line but the first.  The schema lists the triple, the invariants
     and the recipe's numbers in record order, so the records fill the
     integer slots as they are.
 
-    ``templates`` is a memo the caller keeps across rows of one indent.  It
-    maps the identities of the row's Picard and complexity records to the
-    row's template, so a row hashes no nested record.  A complexity record
-    is returned by one branch of the classifier, which fixes the rest of
-    what the template reads: the line-bundle status and citations, the
-    parity and whether there is a recipe (the tests pin this).  The memo
-    also maps each reason and tangency note to its encoded text, keyed by
-    the text itself: across a batch only quadric (0,2,2n) rows bring a
-    new one."""
+    ``templates`` is the memo the command keeps across rows of one indent.
+    It maps the identities of the row's Picard and complexity records to
+    the template cut from the first such row, so a row hashes no nested
+    record.  A complexity record is returned by one branch of the
+    classifier, which fixes the rest of what the template holds: the
+    line-bundle status and citations, the parity and whether there is a
+    recipe (the tests pin this).  The memo also maps each reason and
+    tangency note to its encoded text, keyed by the text itself: across a
+    batch only quadric (0,2,2n) rows bring a new one."""
     t, inv, r = c.triple, c.invariants, c.recipe
-    if templates is None:
-        templates = {}
     key = id(c.picard), id(c.complexity)
     pieces = templates.get(key)
     if pieces is None:
@@ -341,34 +335,32 @@ def _uc_value_text(uc: ComplexityVerdict) -> str:
     return f">={uc.bounds[0]}"
 
 
-def _csv_template(c: Classification, parity: str) -> str:
-    """The %-template of a CSV line with the verdicts of ``c``: the CSV
+def _csv_template(c: Classification) -> str:
+    """The %-template of the CSV lines with the verdicts of ``c``: the CSV
     column layout, with a slot for each of n1, n2, n3, K^2 and chi, and for
-    the recipe's deg C, deg C' and #Z when there is a recipe.  ``parity``
-    is passed in as ``_payload`` takes it.  The constant text is
-    %-escaped as ``_int_template`` escapes it.  No cell holds a comma,
-    quote or newline, so no cell needs quoting."""
+    the recipe's deg C, deg C' and #Z when there is a recipe.  The constant
+    text is %-escaped as ``_int_template`` escapes it.  No cell holds a
+    comma, quote or newline, so no cell needs quoting."""
     uc = c.complexity
     recipe = ("",) * 3 if c.recipe is None else (_INT,) * 3
     cells = (
-        _INT, _INT, _INT, parity, _INT, _INT,
+        _INT, _INT, _INT, c.triple.parity, _INT, _INT,
         "false" if c.picard.rho_is_one else "true", c.line_bundle.status,
         uc.kind, _uc_value_text(uc), *recipe,
     )
     return ",".join(cells).replace("%", "%%").replace(_INT, "%s")
 
 
-def _csv_line(c: Classification, templates: dict | None = None) -> str:
-    """The row's CSV line, without its newline.  ``templates`` is a memo the
-    caller keeps across rows, keyed as ``_query_json`` keys its own: the
-    complexity record alone does not fix the line, since odd rows with
+def _csv_line(c: Classification, templates: dict) -> str:
+    """The row's CSV line, without its newline.  ``templates`` is the memo
+    the command keeps across rows, keyed as ``_query_json`` keys its own:
+    the complexity record alone does not fix the line, since odd rows with
     rho = 1 and with rho > 1 share one."""
     t, inv, pic, _, uc, r = c
-    if templates is None:
-        templates = {}
-    template = templates.get((id(pic), id(uc)))
+    key = id(pic), id(uc)
+    template = templates.get(key)
     if template is None:
-        template = templates[id(pic), id(uc)] = _csv_template(c, t.parity)
+        template = templates[key] = _csv_template(c)
     if r is None:
         return template % (t + inv[:2])
     return template % (t + inv[:2] + r[4:7])
@@ -506,9 +498,9 @@ def parse_triples_file(stream) -> tuple[list[BranchTriple], list[str]]:
 def cmd_classify(args) -> int:
     c = classify_triple((args.n1, args.n2, args.n3))
     if args.format == "json":
-        print(_query_json(c))
+        print(_query_json(c, "", {}))
     elif args.format == "csv":
-        print(f"{CSV_HEADER}\n{_csv_line(c)}")
+        print(f"{CSV_HEADER}\n{_csv_line(c, {})}")
     else:
         print(_query_text(c))
     return 0
@@ -569,18 +561,12 @@ def cmd_batch(args) -> int:
     return 2 if diagnostics else 0
 
 
-def _verdict_payload(verdict: FeasibilityVerdict) -> dict:
-    # No verdict carries candidates; the key stays so the JSON shape holds.
-    return {
-        "status": verdict.status,
-        "trace": [{"step": s.text, "cite": s.cite} for s in verdict.trace],
-        "candidates": [],
-    }
-
-
 def _print_verdict(verdict: FeasibilityVerdict, header: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_dumps(header | {"verdict": _verdict_payload(verdict)}))
+        # No verdict carries candidates; the key stays so the JSON shape holds.
+        trace = [{"step": s.text, "cite": s.cite} for s in verdict.trace]
+        body = {"status": verdict.status, "trace": trace, "candidates": []}
+        print(_dumps(header | {"verdict": body}))
     else:
         for key, value in header.items():
             print(f"{key}: {value}")
@@ -589,6 +575,13 @@ def _print_verdict(verdict: FeasibilityVerdict, header: dict, fmt: str) -> None:
 
 def cmd_search_rho1(args) -> int:
     t = validate_triple(tuple(args.triple))
+    # Lemma 4.2 assumes rho = 1; odd covers keep the refusal the search gives.
+    family = picard_classification(t).family if t.is_even else None
+    if family is not None:
+        raise DomainError(
+            f"search rho1 needs Picard number one, but {tuple_text(t)} has rho > 1 "
+            f"(family {family}, {THM_PICARD})"
+        )
     verdict = rank1_rho1_search(t)
     _print_verdict(
         verdict,
@@ -671,38 +664,25 @@ _PRESET_SPECS = (
 
 
 def cmd_presets(args) -> int:
-    entries = []
-    for name, params, note in _PRESET_SPECS:
-        lat = preset_lattice(name, *params)
-        entries.append(
-            {
-                "name": name,
-                "note": note,
-                "rank": lat.rank,
-                "basis": list(lat.basis_labels),
-                "gram": [list(row) for row in lat.gram],
-                "h": list(lat.h.coords),
-                "k": list(lat.k.coords),
-                "chi": lat.chi,
-            }
-        )
+    presets = [(name, note, preset_lattice(name, *params)) for name, params, note in _PRESET_SPECS]
     if args.format == "json":
-        print(_dumps(entries))
+        print(_dumps([
+            {"name": name, "note": note, "rank": lat.rank, "basis": lat.basis_labels,
+             "gram": lat.gram, "h": lat.h, "k": lat.k, "chi": lat.chi}
+            for name, note, lat in presets
+        ]))
         return 0
     blocks = []
-    for entry in entries:
+    for name, note, lat in presets:
+        width = max(len(str(v)) for row in lat.gram for v in row)
         lines = [
-            f"{entry['name']}  (rank {entry['rank']}, chi = {entry['chi']})",
-            f"  {entry['note']}",
-            f"  basis: {' '.join(entry['basis'])}",
+            f"{name}  (rank {lat.rank}, chi = {lat.chi})",
+            f"  {note}",
+            f"  basis: {' '.join(lat.basis_labels)}",
             "  gram:",
+            *["    [" + " ".join(str(v).rjust(width) for v in row) + "]" for row in lat.gram],
+            f"  H = {lat.h.coords}   K = {lat.k.coords}",
         ]
-        width = max(
-            len(str(v)) for row in entry["gram"] for v in row
-        )
-        for row in entry["gram"]:
-            lines.append("    [" + " ".join(str(v).rjust(width) for v in row) + "]")
-        lines.append(f"  H = {tuple(entry['h'])}   K = {tuple(entry['k'])}")
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
     return 0

@@ -330,6 +330,10 @@ def rank1_rho1_search(t) -> FeasibilityVerdict:
     (2.1) reads 4a/q = n, so q divides 4.  q = 4 and q = 2 die by parity,
     and q = 1 substituted into Equality (2.2) clears denominators to
     n1^2 + n2^2 + n3^2 = 0, impossible for an admissible triple.
+
+    The arithmetic runs on any even triple.  On a cover with rho > 1 the
+    verdict excludes only the classes numerically proportional to H, not
+    every line bundle; ``search rho1`` refuses such covers.
     """
     t = validate_triple(t)
     if not t.is_even:

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per acceptance criterion, exact arithmetic only.
 
 Each test recomputes its expected values through a route independent of the
-code path under test (closed-form tables, a separate numpy box scan, fresh
+code path under test (closed-form tables, a separate box scan, fresh
 pairings on a rebuilt lattice) and ends with a single PASS line; run with
 ``pytest -v`` to get the per-criterion pass/fail listing, or ``-s`` to see
 the PASS lines with their case counts.
@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bidouble.classify import in_t1, in_t2, ulrich_complexity
@@ -127,15 +126,17 @@ def test_criterion_03_quadric_two_routes():
         assert not is_perfect_square(n * n + 1), n
         verdict = p1xp1_line_search(n)
         assert verdict.status == "infeasible_search", n
-        # route 2: independent full 2D box scan, vectorized
+        # route 2: independent scan of the 2D box.  A hit lies on the line
+        # a + b = (n + 1)m', so each a meets the one cell b = s - a.
         box = 10 * (n + 1)
-        a = np.arange(-box, box + 1, dtype=np.int64)
-        sums = a[:, None] + a[None, :]
-        prods = a[:, None] * a[None, :]
         hits = 0
         for mprime in (1, 2):
-            mask = (sums == (n + 1) * mprime) & (2 * prods == n * mprime * mprime)
-            hits += int(mask.sum())
+            s, target = (n + 1) * mprime, n * mprime * mprime
+            hits += sum(
+                1
+                for a in range(-box, box + 1)
+                if -box <= s - a <= box and 2 * a * (s - a) == target
+            )
         assert hits == 0, n
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -1062,10 +1062,10 @@ def test_json_writer_matches_stdlib(capsys):
             c = classify_module.classify_triple(t)
             payload = cli.query_payload(t)
             text = json.dumps(payload, indent=2)
-            assert cli._query_json(c) == text
-            assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+            assert cli._query_json(c, "", {}) == text
+            assert cli._query_json(c, "  ", {}) == text.replace("\n", "\n  ")
             cells = payload_csv_cells(payload)
-            assert cli._csv_line(c).split(",") == cells
+            assert cli._csv_line(c, {}).split(",") == cells
             assert cli._csv_line(c, csv_memo).split(",") == cells
     # A batch keeps one memo across its rows.  Under it the row writer's
     # own calls of the string encoder, not counting those that make the
@@ -1159,8 +1159,8 @@ def test_json_writer_takes_percent_signs(monkeypatch):
         c = classify_module.classify_triple(t)
         assert c.line_bundle.reason == reason
         text = json.dumps(cli.query_payload(t), indent=2)
-        assert cli._query_json(c) == text
-        assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+        assert cli._query_json(c, "", {}) == text
+        assert cli._query_json(c, "  ", {}) == text.replace("\n", "\n  ")
 
 
 def test_csv_writer_takes_percent_signs(monkeypatch):
@@ -1178,7 +1178,7 @@ def test_csv_writer_takes_percent_signs(monkeypatch):
         assert c.complexity.kind == kind
         cells = payload_csv_cells(cli.query_payload(t))
         assert cells[8] == kind
-        assert cli._csv_line(c).split(",") == cells
+        assert cli._csv_line(c, {}).split(",") == cells
         assert cli._csv_line(c, memo).split(",") == cells
 
 
@@ -1315,6 +1315,21 @@ def test_search_rho1_text(capsys):
     assert lines[:2] == ["search: rho1", "triple: [2, 4, 6]"]
     assert lines[-1] == "verdict: infeasible_search"
     assert all(line.endswith(" [Lemma 4.2]") for line in lines[2:-1])
+
+
+@pytest.mark.parametrize("triple, family", [
+    ((0, 2, 2), "(0,2,2n)"), ((0, 2, 4), "(0,2,2n)"), ((0, 4, 6), "(0,4,2n)"),
+    ((2, 2, 2), "(2,2,2n)"),
+])
+def test_search_rho1_rejects_rho_above_one(triple, family, capsys):
+    # Lemma 4.2 assumes rho = 1: an even cover in a jump family is refused,
+    # not reported as eliminated.  (0,2,4) has a certified line bundle.
+    code, out, err = run(["search", "rho1", "--triple", *map(str, triple)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: search rho1 needs Picard number one, but {triple} has rho > 1 "
+        f"(family {family}, Thm. 1.1)\n"
+    )
 
 
 def test_search_rho1_rejects_odd(capsys):
@@ -1977,6 +1992,37 @@ def test_classify_csv_bytes(triple, capsys):
     assert out == header + CLASSIFY_CSV_LINES[triple] + "\n"
 
 
+# sha256 of the stdout of `presets`, of the pinned `search` commands and of
+# `classify` as text on the triples above, taken before `presets` and the
+# search verdicts were written straight from their records.  CI checks the
+# installed CLI against each.
+COMMAND_SHA256 = {
+    "presets --format text": "05af7ba27357a524a348456b4dcd1eeeb38b2a1a7745943db5801dca4a4810a7",
+    "presets --format json": "07a0797ffac44b45352a22a434116d0c6889f07435a507955070472414644c39",
+    "search rho1 --triple 2 4 6 --format text": "5d0a70cb1170452e1c2f25be367ab7e8a4b75d05017a54f18c561d54d3a9c05a",
+    "search rho1 --triple 2 4 6 --format json": "2e0518015a0cce547caa4f0282e1661ad9c8f74af4edbe38036df9657e611189",
+    "search p1xp1 --n 3 --format text": "afc90f753a43b243246aec0818d97069771d66fe9b6259c6fd4393ce51e68a0f",
+    "search p1xp1 --n 3 --format json": "a706d1fe1e178d8545dce2e96c9bea689e0298f8076c6500fd4f5321f531dcc1",
+    "search lattice --preset delpezzo4 --degree 3 --selfint -217 --bound 8 --format text": "bbb3a983ab99c2b35f102108bcff61ce70417877354de89d49929dd891c9ac67",
+    "classify 1 3 5 --format text": "30000b16bd2c40893b8bc03f60da4f9155a4e62a56fb7cb9cc3c441c8344db11",
+    "classify 3 5 7 --format text": "12a29a49fd0ef77be68c77e780abb8c36326e892d3f9852a347286bef04e92f9",
+    "classify 0 2 2 --format text": "6c9d2d9a8b4ff024d1c36333f8c4352a31b346e148f664a7b560ed092ed8cd8f",
+    "classify 0 2 4 --format text": "a7697d37130e7e3ff626fb06d55b6d721a8dec2019892254004b1abab48f6907",
+    "classify 0 2 30 --format text": "552053856f138510377bc41fe104681d2c762d8f07507ea5f7aa9effcdb04fa2",
+    "classify 0 4 10 --format text": "2d452c5d8230bb89e1a5b7a29080661d7f4277d7b70a4056997c46b6908c3b91",
+    "classify 2 2 8 --format text": "bb9cff733ad290c682e0ee3d443fec045b9f02fdf2c03e080a635f9fe27c5cd8",
+    "classify 2 4 6 --format text": "0893f9021426c04cfc5b8eef055db63f0b54b168dacac8d2d0760c8af62dac87",
+    "classify 4 8 12 --format text": "101febdedda57e63c981dc12863932d167a875674b702a4d0bec6c2fed77ceb4",
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMAND_SHA256))
+def test_command_bytes(argv, capsys):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_SHA256[argv]
+
+
 # sha256 of `search lattice --preset delpezzo4 --degree 3 --selfint -217
 # --bound 8 --format json` stdout (855 hits); CI checks the installed CLI
 # against it.
@@ -2088,9 +2134,9 @@ Ulrich line bundle certificate for branch degrees (0, 2, 4)
   => all checks passed
 """
 
+# (2,2,2) has rho > 1, so ``search rho1`` refuses it; the library search
+# still replays the arithmetic there.
 RHO1_222 = """\
-search: rho1
-triple: [2, 2, 2]
 write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): c1.H = (3H + K).H / 2 = n1 + n2 + n3 = 6, so 4a/q = 6 and q divides 4 [Lemma 4.2]
 cases q in {1, 2, 4} [Lemma 4.2]
 q = 4: a = n = 6 is even, contradicting gcd(a, 4) = 1 [Lemma 4.2]
@@ -2109,6 +2155,19 @@ q = 4: a = n = 12 is even, contradicting gcd(a, 4) = 1 [Lemma 4.2]
 q = 2: a = n/2 = 6 is even, contradicting gcd(a, 2) = 1 [Lemma 4.2]
 q = 1: Equality (2.1) gives a = n/4 = 3; substituting into Equality (2.2) and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0 [Lemma 4.2]
 n1^2 + n2^2 + n3^2 = 56 != 0 [Lemma 4.2]
+verdict: infeasible_search
+"""
+
+# The q = 2 case with a = n/2 odd, on a cover with rho = 1.
+RHO1_248 = """\
+search: rho1
+triple: [2, 4, 8]
+write c1 = (a/q)H with gcd(a, q) = 1; Equality (2.1): c1.H = (3H + K).H / 2 = n1 + n2 + n3 = 14, so 4a/q = 14 and q divides 4 [Lemma 4.2]
+cases q in {1, 2, 4} [Lemma 4.2]
+q = 4: a = n = 14 is even, contradicting gcd(a, 4) = 1 [Lemma 4.2]
+q = 2: a = n/2 = 7; Equality (2.2) forces a^2 - a(n - 6) = -7 to equal 8 - 2 chi = -28, an even number, but a^2 - a(n - 6) is congruent to a = 7 mod 2: contradiction [Lemma 4.2]
+q = 1: Equality (2.1) gives a = n/4 = 7/2; substituting into Equality (2.2) and clearing denominators leaves n1^2 + n2^2 + n3^2 = 0 [Lemma 4.2]
+n1^2 + n2^2 + n3^2 = 84 != 0 [Lemma 4.2]
 verdict: infeasible_search
 """
 
@@ -2189,15 +2248,16 @@ verdict: not_applicable
         (lambda: print(verify_recipe((2, 4, 6), special_rank2_recipe((2, 4, 6))).render()),
          RECIPE_246),
         (lambda: print(verify_024_certificate().render()), CERTIFICATE_024),
-        (lambda: cli.main(["search", "rho1", "--triple", "2", "2", "2"]), RHO1_222),
+        (lambda: print(rank1_rho1_search((2, 2, 2)).render()), RHO1_222),
         (lambda: cli.main(["search", "rho1", "--triple", "2", "4", "6"]), RHO1_246),
+        (lambda: cli.main(["search", "rho1", "--triple", "2", "4", "8"]), RHO1_248),
         (lambda: cli.main(["search", "p1xp1", "--n", "3"]), P1XP1_3_TEXT),
         (lambda: cli.main(["search", "p1xp1", "--n", "3", "--format", "json"]), P1XP1_3_JSON),
         (lambda: print(odd_rank_obstruction((1, 1, 3), 1).render()), PARITY_113_RANK1),
         (lambda: print(odd_rank_obstruction((1, 1, 3), 2).render()), PARITY_113_RANK2),
     ],
     ids=["recipe_222", "recipe_246", "certificate_024", "rho1_222", "rho1_246",
-         "p1xp1_text", "p1xp1_json", "parity_rank1", "parity_rank2"],
+         "rho1_248", "p1xp1_text", "p1xp1_json", "parity_rank1", "parity_rank2"],
 )
 def test_rendered_bytes(produce, expected, capsys):
     assert produce() in (None, 0)

@@ -73,6 +73,22 @@ def test_recipe_validation():
         CBRecipe(3, 14, 2, 1, 4, 2, 14, None)  # residue 2 requires the note
 
 
+def test_recipe_constructor_accepts_every_recipe():
+    # special_rank2_recipe builds its record without the constructor; the
+    # constructor takes each of them back as it is, both layouts included.
+    triples = [t for t in even_triples(40) if t.as_tuple() != (0, 2, 2)]
+    residues = set()
+    for t in triples:
+        recipe = special_rank2_recipe(t)
+        rebuilt = CBRecipe(*recipe)
+        assert type(rebuilt) is CBRecipe
+        assert rebuilt == recipe, t
+        # verify_recipe raises on any failed line.
+        assert verify_recipe(t, rebuilt) == verify_recipe(t, recipe)
+        residues.add(rebuilt.residue)
+    assert residues == {0, 2}
+
+
 def test_verify_recipe_passes():
     for t in RECIPE_ORACLES:
         r = special_rank2_recipe(t)

@@ -329,8 +329,8 @@ def test_json_writer_matches_stdlib(triples):
         payloads[t] = cli.query_payload(t)
         text = json.dumps(payloads[t], indent=2)
         c = classify_triple(t)
-        assert cli._query_json(c) == text
-        assert cli._query_json(c, "  ") == text.replace("\n", "\n  ")
+        assert cli._query_json(c, "", {}) == text
+        assert cli._query_json(c, "  ", {}) == text.replace("\n", "\n  ")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "triples.txt"
         path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in triples))
